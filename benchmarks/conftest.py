@@ -22,15 +22,18 @@ def run_once(benchmark, func, *args, **kwargs):
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
 
 
-RESULTS_DIR = Path(__file__).parent / "results"
+# Test runs write their tables here, a git-ignored directory, so running the
+# suite never rewrites the committed records under ``benchmarks/results/``.
+RESULTS_DIR = Path(__file__).parent / ".out"
 
 
 def show(rows, title):
-    """Print rows as an aligned table and persist them under benchmarks/results/.
+    """Print rows as an aligned table and persist them under benchmarks/.out/.
 
     pytest captures stdout by default, so the persisted text files are the
-    canonical record of each regenerated table/figure (they are what
-    EXPERIMENTS.md references); run with ``-s`` to also see them live.
+    record of each regenerated table/figure; run with ``-s`` to also see
+    them live.  Copy a file into ``benchmarks/results/`` to update the
+    committed record.
     """
     table = format_table(rows, title=title)
     print()

@@ -445,12 +445,15 @@ class NodeStreamProcessor:
         if not selected or len(selected) < bound.lower:
             return None, patterns, history
 
-        final_analysis = build_analysis(self.model, graph, self.config)
+        # A stream that saw every node ends on the graph itself, so reuse its
+        # last analysis.  Count nodes: ``node_order`` may be partial or repeat.
+        if seen_graph.num_nodes() != graph.num_nodes():
+            analysis = build_analysis(self.model, graph, self.config)
         subgraph = ExplanationSubgraph(
             source_graph=graph,
             nodes=selected,
             label=label,
-            explainability=final_analysis.explainability(selected),
+            explainability=analysis.explainability(selected),
         )
         self.everify.annotate(subgraph)
         return subgraph, patterns, history

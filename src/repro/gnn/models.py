@@ -11,6 +11,7 @@ model-agnostic exactly as the paper requires.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -238,7 +239,7 @@ class GNNClassifier:
         per-graph inference.
         """
         if batch.total_rows == 0:
-            pooled = np.zeros((len(batch.blocks), self.hidden_dim))
+            pooled = np.zeros((batch.num_blocks, self.hidden_dim))
             return pooled @ self.head.params["weight"] + self.head.params["bias"]
         hidden = batch.feature_matrix(self.feature_dim)
         for layer in self.conv_layers:
@@ -414,12 +415,15 @@ class GNNClassifier:
             and sum(len(nodes) for nodes in node_sets) >= _BATCH_MIN_ROWS
         ):
             view = graph.sparse_view()
-            index = view.index
-            rows_list = [
-                np.fromiter(sorted({index[node] for node in nodes}), dtype=np.int64)
-                for nodes in node_sets
-            ]
-            logits = self._batched_logits(BatchedGraphView.from_subsets(view, rows_list))
+            # One id -> row lookup over every set, then one segmented sort
+            # and dedupe of the keys ``set * n + row``.
+            ids = list(chain.from_iterable(node_sets))
+            rows = np.fromiter(map(view.index.__getitem__, ids), dtype=np.int64, count=len(ids))
+            bases = np.arange(len(node_sets), dtype=np.int64) * view.num_nodes
+            keys = np.sort(np.repeat(bases, [len(nodes) for nodes in node_sets]) + rows)
+            segments, rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], view.num_nodes)
+            sizes = np.bincount(segments, minlength=len(node_sets))
+            logits = self._batched_logits(BatchedGraphView.from_subsets(view, rows, sizes))
             if logits is not None:
                 return logits
         if not node_sets:

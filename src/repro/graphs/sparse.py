@@ -24,7 +24,7 @@ identical inputs.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -490,10 +490,10 @@ class BatchedGraphView:
     Message passing never crosses graph boundaries, so a whole label group —
     or many candidate subsets of one source graph — can run through a single
     forward pass when their adjacencies are stacked block-diagonally and
-    their feature rows concatenated.  Each block is ``(view, rows)``: a
-    :class:`SparseGraphView` snapshot plus the row indices participating in
-    the block (all rows for whole-graph batches, a subset for ``EVerify``
-    style probes).
+    their feature rows concatenated.  Block ``b`` holds batch rows
+    ``offsets[b]:offsets[b + 1]``.  The batch's rows are the stacked
+    ``(view, rows)`` pairs of ``gathers``: one per graph for a whole-graph
+    batch, one over all blocks for a subset batch of ``EVerify`` probes.
 
     The batch caches the stacked feature matrix per dimensionality and one
     message-passing operator per convolution type (``gcn`` symmetric
@@ -503,31 +503,68 @@ class BatchedGraphView:
     ``None`` without it and callers fall back to per-graph inference.
     """
 
-    __slots__ = ("blocks", "offsets", "total_rows", "_adjacency", "_operators", "_features")
+    __slots__ = (
+        "gathers", "num_blocks", "offsets", "total_rows", "indptr", "indices",
+        "_adjacency", "_operators", "_features",
+    )
 
-    def __init__(self, blocks: list[tuple[SparseGraphView, np.ndarray]]) -> None:
-        self.blocks = blocks
-        sizes = np.fromiter((len(rows) for _, rows in blocks), dtype=np.int64, count=len(blocks))
-        self.offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+    def __init__(
+        self,
+        sizes: Sequence[int] | np.ndarray,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        gathers: list[tuple[SparseGraphView, np.ndarray]],
+    ) -> None:
+        self.gathers = gathers
+        self.num_blocks = len(sizes)
+        self.offsets = np.zeros(self.num_blocks + 1, dtype=np.int64)
         np.cumsum(sizes, out=self.offsets[1:])
         self.total_rows = int(self.offsets[-1])
+        self.indptr = indptr
+        self.indices = indices
         self._adjacency = None
         self._operators: dict[str, object] = {}
         self._features: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_graphs(cls, graphs: Iterable["Graph"]) -> "BatchedGraphView":
-        """Whole-graph batch: one block per graph, all rows."""
-        blocks = []
-        for graph in graphs:
-            view = graph.sparse_view()
-            blocks.append((view, np.arange(view.num_nodes, dtype=np.int64)))
-        return cls(blocks)
+        """Whole-graph batch: one block per graph, each graph's CSR shifted."""
+        views = [graph.sparse_view() for graph in graphs]
+        nnz = np.cumsum([0] + [len(view.indices) for view in views])
+        rows = np.cumsum([0] + [view.num_nodes for view in views])
+        return cls(
+            np.diff(rows),
+            np.concatenate([nnz[:1]] + [view.indptr[1:] + base for view, base in zip(views, nnz)]),
+            np.concatenate([nnz[:0]] + [view.indices + base for view, base in zip(views, rows)]),
+            [(view, np.arange(view.num_nodes, dtype=np.int64)) for view in views],
+        )
 
     @classmethod
-    def from_subsets(cls, view: SparseGraphView, row_sets: Iterable[np.ndarray]) -> "BatchedGraphView":
-        """Subset batch: every block slices the same source view."""
-        return cls([(view, np.asarray(rows, dtype=np.int64)) for rows in row_sets])
+    def from_subsets(
+        cls, view: SparseGraphView, rows: np.ndarray, sizes: Sequence[int] | np.ndarray
+    ) -> "BatchedGraphView":
+        """Subset batch: block ``b`` is the next ``sizes[b]`` entries of ``rows``.
+
+        The block-diagonal CSR of every node-induced submatrix comes from one
+        flat gather of all selected rows' neighbour lists: a ``(block, source
+        row) -> batch row`` lookup maps each neighbour into its own block or
+        drops it.  The feature rows are one gather too.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        block_base = np.repeat(np.arange(len(sizes), dtype=np.int64) * view.num_nodes, sizes)
+        lookup = np.full(len(sizes) * view.num_nodes, -1, dtype=np.int64)
+        lookup[block_base + rows] = np.arange(len(rows), dtype=np.int64)
+        starts = view.indptr[rows]
+        lengths = view.indptr[rows + 1] - starts
+        # Flat positions of every neighbour entry of every selected row.
+        flat = np.arange(int(lengths.sum()), dtype=np.int64)
+        flat += np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        cols = lookup[np.repeat(block_base, lengths) + view.indices[flat]]
+        keep = cols >= 0
+        kept_rows = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)[keep]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(kept_rows, minlength=len(rows)), out=indptr[1:])
+        return cls(sizes, indptr, cols[keep], [(view, rows)])
 
     # ------------------------------------------------------------------
     # stacked matrices
@@ -537,65 +574,22 @@ class BatchedGraphView:
         key = -1 if feature_dim is None else feature_dim
         cached = self._features.get(key)
         if cached is None:
-            parts = [view.feature_matrix(feature_dim)[rows] for view, rows in self.blocks]
-            cached = (
-                np.concatenate(parts, axis=0)
-                if parts
-                else np.zeros((0, feature_dim or 1))
-            )
+            parts = [view.feature_matrix(feature_dim)[rows] for view, rows in self.gathers]
+            if len(parts) == 1:
+                cached = parts[0]
+            else:
+                cached = np.concatenate(parts, axis=0) if parts else np.zeros((0, feature_dim or 1))
             self._features[key] = cached
         return cached
-
-    @staticmethod
-    def _sub_csr(view: SparseGraphView, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the node-induced CSR submatrix, pure numpy.
-
-        One flat gather of the selected rows' neighbour lists plus a
-        membership filter — no scipy ``__getitem__`` machinery, which
-        dominates the runtime when batches hold many small blocks.
-        """
-        starts = view.indptr[rows]
-        lengths = view.indptr[rows + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.zeros(len(rows) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        # Flat positions of every neighbour entry of every selected row.
-        ends = np.cumsum(lengths)
-        flat = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
-        flat += np.repeat(starts, lengths)
-        cols = view.indices[flat]
-        local = np.full(view.num_nodes, -1, dtype=np.int64)
-        local[rows] = np.arange(len(rows), dtype=np.int64)
-        keep = local[cols] >= 0
-        row_ids = np.repeat(np.arange(len(rows), dtype=np.int64), lengths)
-        kept_per_row = np.bincount(row_ids[keep], minlength=len(rows))
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(kept_per_row, out=indptr[1:])
-        return indptr, local[cols[keep]]
 
     def _block_adjacency(self):
         """Block-diagonal scipy CSR adjacency (cached; ``None`` sans scipy)."""
         if _scipy_sparse is None:
             return None
         if self._adjacency is None:
-            indptr_parts = [np.zeros(1, dtype=np.int64)]
-            indices_parts = []
-            nnz = 0
-            for (view, rows), offset in zip(self.blocks, self.offsets[:-1]):
-                if len(rows) == view.num_nodes:
-                    sub_indptr, sub_indices = view.indptr, view.indices
-                else:
-                    sub_indptr, sub_indices = self._sub_csr(view, rows)
-                indptr_parts.append(sub_indptr[1:] + nnz)
-                indices_parts.append(sub_indices + offset)
-                nnz += int(sub_indptr[-1])
-            indptr = np.concatenate(indptr_parts)
-            indices = (
-                np.concatenate(indices_parts) if indices_parts else np.zeros(0, dtype=np.int64)
-            )
-            data = np.ones(len(indices), dtype=float)
+            data = np.ones(len(self.indices), dtype=float)
             self._adjacency = _scipy_sparse.csr_matrix(
-                (data, indices, indptr), shape=(self.total_rows, self.total_rows)
+                (data, self.indices, self.indptr), shape=(self.total_rows, self.total_rows)
             )
         return self._adjacency
 
@@ -643,8 +637,7 @@ class BatchedGraphView:
         Empty blocks pool to zero rows, matching the empty-graph
         short-circuit of the per-graph forward pass.
         """
-        num_blocks = len(self.blocks)
-        pooled = np.zeros((num_blocks, hidden.shape[1]))
+        pooled = np.zeros((self.num_blocks, hidden.shape[1]))
         sizes = np.diff(self.offsets)
         nonempty = sizes > 0
         if not nonempty.any():
@@ -661,4 +654,4 @@ class BatchedGraphView:
         return pooled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<BatchedGraphView blocks={len(self.blocks)} rows={self.total_rows}>"
+        return f"<BatchedGraphView blocks={self.num_blocks} rows={self.total_rows}>"

@@ -256,7 +256,8 @@ class TestBatchedViewCache:
         after = database.batched_view([0, 1])
         assert after is not before
         # Block 1 now holds the 5-node graph (positions shifted down).
-        assert len(after.blocks[1][1]) == 5
+        assert after.offsets[2] - after.offsets[1] == 5
+        assert after.gathers[1][0].num_nodes == 5
 
 
 class TestStatistics:

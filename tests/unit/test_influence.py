@@ -1,16 +1,24 @@
 """Unit tests for the feature-influence estimators (paper Eqs. 3-4)."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
 from repro.gnn import GNNClassifier
 from repro.gnn.influence import (
+    _jacobian_l1_batched,
+    _jacobian_l1_reference,
+    _layer_operator,
     influence_matrix,
     jacobian_l1_matrix,
     normalized_influence_matrix,
 )
+from repro.gnn.tensor_ops import relu_grad
 from repro.graphs import Graph
+from repro.graphs.subgraph import induced_subgraph
+from tests.conftest import build_random_typed_graph
 
 
 @pytest.fixture
@@ -101,3 +109,104 @@ class TestNormalisedInfluence:
 
     def test_empty_graph(self, small_model):
         assert normalized_influence_matrix(small_model, Graph()).size == 0
+
+
+def identity_seeded_jacobian(model, graph):
+    """The batched recurrence seeded with the ``n x n*d0 x d0`` identity.
+
+    Every layer, the first included, runs the two GEMMs.  The production
+    kernel skips the identity and must equal this bit for bit.
+    """
+    features = graph.sparse_view().feature_matrix(model.feature_dim)
+    propagation = model.propagation_matrix(graph)
+    num_nodes, feature_dim = features.shape
+    flat = num_nodes * feature_dim
+    jac = np.zeros((num_nodes, flat, feature_dim))
+    for u in range(num_nodes):
+        jac[u, u * feature_dim : (u + 1) * feature_dim, :] = np.eye(feature_dim)
+    hidden = features
+    for layer in model.conv_layers:
+        hidden, cache = layer.forward(hidden, propagation)
+        weight = layer.params["weight"]
+        operator = _layer_operator(layer, cache, num_nodes)
+        in_dim, out_dim = weight.shape
+        contracted = jac.reshape(num_nodes * flat, in_dim) @ weight
+        jac = (operator @ contracted.reshape(num_nodes, flat * out_dim)).reshape(
+            num_nodes, flat, out_dim
+        )
+        if layer.activation:
+            jac = jac * relu_grad(cache["pre_activation"])[:, None, :]
+    return np.abs(jac).reshape(num_nodes, num_nodes, feature_dim * jac.shape[2]).sum(axis=2)
+
+
+def isolated_nodes_graph():
+    graph = Graph()
+    for node in range(6):
+        graph.add_node(node, "T", [float(node % 3), 1.0, 0.5 * node])
+    graph.add_edge(0, 1)
+    graph.add_edge(1, 2)
+    graph.add_edge(4, 5)  # node 3 is isolated
+    graph.add_node(6, "T", [0.0, 0.0, 2.0])  # so is node 6
+    return graph
+
+
+def single_node_graph():
+    graph = Graph()
+    graph.add_node(0, "T", [1.0, -2.0, 0.5])
+    return graph
+
+
+def shuffled_prefixes(seed):
+    graph = build_random_typed_graph(24, seed=seed)
+    order = list(graph.nodes)
+    random.Random(seed).shuffle(order)
+    return [induced_subgraph(graph, order[:size]) for size in (1, 2, 5, 11, 24)]
+
+
+JACOBIAN_MODELS = {
+    "gcn": lambda: GNNClassifier(feature_dim=3, num_classes=2, hidden_dim=5, num_layers=3, seed=2),
+    "gin": lambda: GNNClassifier(
+        feature_dim=3, num_classes=2, hidden_dim=4, num_layers=2, conv="gin", seed=8
+    ),
+    "gcn-1-layer": lambda: GNNClassifier(
+        feature_dim=3, num_classes=2, hidden_dim=4, num_layers=1, seed=5
+    ),
+}
+
+
+class TestIdentityFreeJacobian:
+    @pytest.fixture(params=sorted(JACOBIAN_MODELS))
+    def model(self, request):
+        return JACOBIAN_MODELS[request.param]()
+
+    def graphs(self):
+        return [single_node_graph(), isolated_nodes_graph(), *shuffled_prefixes(1), *shuffled_prefixes(4)]
+
+    def test_bit_identical_to_the_identity_seeded_recurrence(self, model):
+        for graph in self.graphs():
+            assert np.array_equal(
+                _jacobian_l1_batched(model, graph), identity_seeded_jacobian(model, graph)
+            )
+
+    def test_matches_the_einsum_reference(self, model):
+        for graph in self.graphs():
+            np.testing.assert_allclose(
+                _jacobian_l1_batched(model, graph),
+                _jacobian_l1_reference(model, graph),
+                rtol=1e-10,
+                atol=1e-12,
+            )
+
+    def test_isolated_nodes_only_influence_themselves(self, model):
+        matrix = _jacobian_l1_batched(model, isolated_nodes_graph())
+        for isolated in (3, 6):
+            off_diagonal = np.delete(matrix[isolated], isolated)
+            assert not off_diagonal.any()
+            assert not np.delete(matrix[:, isolated], isolated).any()
+
+    def test_sage_is_rejected(self, path_graph):
+        sage = GNNClassifier(feature_dim=2, num_classes=2, hidden_dim=3, num_layers=2, conv="sage")
+        with pytest.raises(ModelError):
+            _jacobian_l1_batched(sage, path_graph)
+        with pytest.raises(ModelError):
+            jacobian_l1_matrix(sage, path_graph)

@@ -7,10 +7,17 @@ contents (node sets, pattern keys, explainability) — the incremental path
 inherits the anytime quality bound with zero slack.
 """
 
+import dataclasses
+import math
+
 import pytest
 
+import repro.core.maintenance as maintenance
 from repro.api import ViewStore
+from repro.api.replication import view_signature as semantic_signature
 from repro.core import Configuration, ViewMaintainer
+from repro.core.maintenance import NodeStreamProcessor
+from repro.core.sampling import SampledGraphAnalysis, build_analysis
 from repro.core.streaming import StreamGVEX
 from repro.exceptions import ExplanationError
 from repro.gnn import GNNClassifier
@@ -302,3 +309,93 @@ class TestEquivalenceOnSecondDataset:
             database.add_graph(graph, label)
         database.remove_graph(database.graphs[2].graph_id)
         assert_matches_recompute(maintainer, database, model, config, batch_size=4)
+
+
+class TestFinalAnalysisReuse:
+    """A stream that saw every node reuses its last batch's analysis as the
+    full-graph one; any other stream still builds the full-graph analysis."""
+
+    BATCH_SIZE = 5
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The graphs ``explain_graph`` built an analysis for, in call order."""
+        graphs = []
+
+        def counting_build(model, graph, config):
+            graphs.append(graph)
+            return build_analysis(model, graph, config)
+
+        monkeypatch.setattr(maintenance, "build_analysis", counting_build)
+        return graphs
+
+    @pytest.fixture
+    def processor(self, trained_mut_model, stream_config):
+        return NodeStreamProcessor(trained_mut_model, stream_config, batch_size=self.BATCH_SIZE)
+
+    @staticmethod
+    def explain(processor, graph, node_order):
+        subgraph, _, _ = processor.explain_graph(graph, label=0, node_order=node_order)
+        assert subgraph is not None
+        return subgraph
+
+    def assert_full_graph_score(self, processor, graph, subgraph):
+        expected = build_analysis(processor.model, graph, processor.config)
+        assert subgraph.explainability == expected.explainability(subgraph.nodes)
+
+    def test_covering_stream_builds_once_per_batch(self, processor, built, mut_pool):
+        graph = mut_pool[0]
+        subgraph = self.explain(processor, graph, list(graph.nodes)[::-1])
+        assert len(built) == math.ceil(graph.num_nodes() / self.BATCH_SIZE)
+        assert built[-1].num_nodes() == graph.num_nodes()
+        self.assert_full_graph_score(processor, graph, subgraph)
+
+    def test_strict_subset_order_builds_the_full_graph(self, processor, built, mut_pool):
+        graph = mut_pool[1]
+        order = list(graph.nodes)[:-3]
+        subgraph = self.explain(processor, graph, order)
+        assert len(built) == math.ceil(len(order) / self.BATCH_SIZE) + 1
+        assert built[-1] is graph
+        self.assert_full_graph_score(processor, graph, subgraph)
+
+    def test_duplicated_order_builds_the_full_graph(self, processor, built, mut_pool):
+        # As long as the graph, but two nodes repeat and two never arrive.
+        graph = mut_pool[2]
+        nodes = list(graph.nodes)
+        order = nodes[:-2] + nodes[:2]
+        subgraph = self.explain(processor, graph, order)
+        assert len(order) == graph.num_nodes()
+        assert len(built) == math.ceil(len(order) / self.BATCH_SIZE) + 1
+        assert built[-1] is graph
+        self.assert_full_graph_score(processor, graph, subgraph)
+
+    def test_sampled_views_keep_the_full_graph_scores(self, trained_mut_model, mut_pool):
+        config = Configuration(
+            theta=0.08, objective="sampled", sample_budget=6, sample_threshold=8
+        ).with_default_bound(0, 8)
+        graphs = mut_pool[:6]
+        assert all(
+            isinstance(build_analysis(trained_mut_model, graph, config), SampledGraphAnalysis)
+            for graph in graphs
+        )
+        view = StreamGVEX(trained_mut_model, config, batch_size=self.BATCH_SIZE).explain_label(
+            graphs, 0
+        )
+        assert view.subgraphs
+        # What the stream reported before the reuse: every score from a
+        # fresh full-graph analysis, the view's score their sum.
+        rescored = [
+            dataclasses.replace(
+                subgraph,
+                explainability=build_analysis(
+                    trained_mut_model, subgraph.source_graph, config
+                ).explainability(subgraph.nodes),
+            )
+            for subgraph in view.subgraphs
+        ]
+        expected = dataclasses.replace(
+            view,
+            subgraphs=rescored,
+            explainability=float(sum(subgraph.explainability for subgraph in rescored)),
+        )
+        assert semantic_signature(view) == semantic_signature(expected)

@@ -237,7 +237,9 @@ class TestBatchedGraphView:
         graph = build_test_graph()
         view = graph.sparse_view()
         rows = view.rows_for(graph.nodes[:3])
-        batch = BatchedGraphView.from_subsets(view, [rows, np.arange(view.num_nodes)])
+        batch = BatchedGraphView.from_subsets(
+            view, np.concatenate([rows, np.arange(view.num_nodes)]), [len(rows), view.num_nodes]
+        )
         blocks = batch._block_adjacency().toarray()
         np.testing.assert_array_equal(blocks[:3, :3], view.sub_adjacency(rows))
         np.testing.assert_array_equal(blocks[3:, 3:], view.dense_adjacency())
