@@ -8,13 +8,15 @@ node sets, same explainability, same fidelity numbers).
 
 It also times ``ApproxGVEX.explain_label`` and ``StreamGVEX.explain_label``
 *end to end* per label group — the Figure 9a-c explainer-runtime path.
-ApproxGVEX compares the lazy (CELF) selection strategy plus database-level
-batched inference against the eager reference strategy, asserting that both
-strategies produce node-set-identical views.  StreamGVEX — whose runtime is
-dominated by the pattern front-end (IncPGen mining + IncPMatch coverage) —
-compares the full fast path (sparse backend + indexed match engine + lazy
-selection, the defaults) against the full reference path (legacy backend,
-reference matcher, eager selection), again asserting node-set identity.
+ApproxGVEX compares lazy (CELF) selection plus database-level batched
+inference against :class:`~repro.core.oracles.ReferenceApproxGVEX` (eager
+loops, per-graph inference), asserting that both produce node-set-identical
+views.  StreamGVEX — whose runtime is dominated by the pattern front-end
+(IncPGen mining + IncPMatch coverage) — compares the production path (sparse
+backend + indexed match engine + batched swaps + lazy selection) against
+:class:`~repro.core.oracles.ReferenceStreamGVEX` on the legacy backend
+(reference matcher, per-node stream loop, eager selection), again asserting
+node-set identity.
 
 The pattern front-end itself gets two dedicated micro-benchmarks:
 ``pattern_matching`` replays the matcher call mix of the coverage/query
@@ -68,6 +70,7 @@ if __name__ == "__main__":  # allow running from a clean checkout
 
 from repro.api import ExplanationService, create_explainer
 from repro.core.approx import ApproxGVEX
+from repro.core.oracles import ReferenceApproxGVEX, ReferenceStreamGVEX
 from repro.core.config import Configuration
 from repro.core.maintenance import ViewMaintainer
 from repro.core.quality import GraphAnalysis
@@ -351,14 +354,20 @@ def check_identical_views(context: BenchContext, config) -> dict:
 
 
 def bench_explain_label(
-    context: BenchContext, config, algorithm: str = "approx", reps: int = 1, num_graphs: int | None = None
+    context: BenchContext,
+    config,
+    algorithm: str = "approx",
+    reps: int = 1,
+    num_graphs: int | None = None,
+    reference: bool = False,
 ) -> tuple[float, list[list[int]]]:
     """End-to-end per-label wall clock of an explainer (Figure 9a-c path).
 
-    Returns total seconds over ``reps`` runs plus the last run's sorted
-    explanation node sets (for the lazy-vs-eager identity cross-check).
-    CSR snapshots are warmed outside the timer, mirroring the steady state
-    of a long-running explanation service.
+    ``reference`` times the oracle class of :mod:`repro.core.oracles`
+    instead of the production explainer.  Returns total seconds over
+    ``reps`` runs plus the last run's sorted explanation node sets (for the
+    identity cross-check).  CSR snapshots are warmed outside the timer,
+    mirroring the steady state of a long-running explanation service.
     """
     source = context.database.graphs
     if num_graphs is not None:
@@ -370,11 +379,12 @@ def bench_explain_label(
         graphs = [graph.copy() for graph in source]
         _warm_caches([graphs])
         if algorithm == "stream":
-            explainer: ApproxGVEX | StreamGVEX = StreamGVEX(
+            stream_class = ReferenceStreamGVEX if reference else StreamGVEX
+            explainer: ApproxGVEX | StreamGVEX = stream_class(
                 context.model, config, batch_size=32
             )
         else:
-            explainer = ApproxGVEX(context.model, config)
+            explainer = (ReferenceApproxGVEX if reference else ApproxGVEX)(context.model, config)
         start = time.perf_counter()
         view = explainer.explain_label(graphs, label)
         total += time.perf_counter() - start
@@ -784,7 +794,7 @@ def run_benchmark(
     (the CI ``incremental`` job's fast path); ``suite="wal"`` runs only the
     durability benchmark (the CI ``replication`` job's fast path);
     ``suite="stream"`` runs only the StreamGVEX end-to-end A/B (the CI
-    ``perf-kernels`` job's fast path, also what the numba matrix leg times);
+    ``perf-kernels`` job's fast path);
     ``suite="sampled"`` runs only the sampled-objective A/B on the
     scale-stress regime (fixed stress sizes — the generic size knobs apply
     to the exact-regime suites); ``"full"`` runs everything *except* the
@@ -838,19 +848,17 @@ def run_benchmark(
                 name, num_graphs=num_graphs, graph_size=graph_size, epochs=epochs
             )
             config = Configuration().with_default_bound(0, 8)
-            eager_config = replace(config, selection_strategy="eager")
             # Same two arms as the full suite's stream measurement: the fast
-            # path is the defaults (sparse backend -> packed coverage,
-            # batched swaps, indexed/compiled matcher, lazy selection), the
-            # reference path the legacy backend with the per-node stream
-            # loop (stream_batching="auto" resolves to "off" there).
+            # path is StreamGVEX on the sparse backend (packed coverage,
+            # batched swaps, indexed matcher, lazy selection), the reference
+            # path ReferenceStreamGVEX on the legacy backend.
             with sparse_backend(True):
                 fast_seconds, fast_sets = bench_explain_label(
                     context, config, "stream", e2e_reps, e2e_num_graphs
                 )
             with sparse_backend(False):
                 reference_seconds, reference_sets = bench_explain_label(
-                    context, eager_config, "stream", e2e_reps, e2e_num_graphs
+                    context, config, "stream", e2e_reps, e2e_num_graphs, reference=True
                 )
             speedup = reference_seconds / max(fast_seconds, 1e-9)
             stream_speedups.append(speedup)
@@ -883,17 +891,16 @@ def run_benchmark(
     for name in datasets:
         context = build_context(name, num_graphs=num_graphs, graph_size=graph_size, epochs=epochs)
         config = Configuration().with_default_bound(0, 8)
-        eager_config = replace(config, selection_strategy="eager")
         matching_patterns = _matching_workload(context)
         with sparse_backend(False):
-            legacy_influence = bench_influence(context, eager_config, reps)
+            legacy_influence = bench_influence(context, config, reps)
             legacy_everify = bench_everify(context, reps)
             legacy_matching, legacy_matching_sig = bench_pattern_matching(
                 context, matching_patterns, reps
             )
             legacy_mining, legacy_mining_sig = bench_mining(context, reps)
         with sparse_backend(True):
-            sparse_influence = bench_influence(context, eager_config, reps)
+            sparse_influence = bench_influence(context, config, reps)
             sparse_everify = bench_everify(context, reps)
             sparse_matching, sparse_matching_sig = bench_pattern_matching(
                 context, matching_patterns, reps
@@ -914,16 +921,16 @@ def run_benchmark(
         )
         mining_identical = mining_identical and (legacy_mining_sig == sparse_mining_sig)
 
-        # End-to-end explainer runtime (Figure 9a-c path).  ApproxGVEX: the
-        # lazy (CELF) strategy with batched inference vs the eager reference
-        # strategy, both on the sparse backend, same inputs, identical
+        # End-to-end explainer runtime (Figure 9a-c path).  ApproxGVEX: lazy
+        # (CELF) selection with batched inference vs ReferenceApproxGVEX's
+        # eager loops, both on the sparse backend, same inputs, identical
         # outputs.  StreamGVEX (dominated by the IncPGen/IncPMatch pattern
-        # front-end): the full fast path — sparse backend + indexed match
-        # engine + lazy selection, i.e. the defaults — vs the full reference
-        # path (legacy backend, reference matcher, eager selection).
+        # front-end): the production path on the sparse backend vs
+        # ReferenceStreamGVEX on the legacy backend (reference matcher,
+        # per-node stream loop, eager selection).
         with sparse_backend(True):
             eager_seconds, eager_sets = bench_explain_label(
-                context, eager_config, "approx", e2e_reps, e2e_num_graphs
+                context, config, "approx", e2e_reps, e2e_num_graphs, reference=True
             )
             lazy_seconds, lazy_sets = bench_explain_label(
                 context, config, "approx", e2e_reps, e2e_num_graphs
@@ -933,7 +940,7 @@ def run_benchmark(
             )
         with sparse_backend(False):
             stream_reference_seconds, stream_reference_sets = bench_explain_label(
-                context, eager_config, "stream", e2e_reps, e2e_num_graphs
+                context, config, "stream", e2e_reps, e2e_num_graphs, reference=True
             )
         explain_label_speedup = eager_seconds / max(lazy_seconds, 1e-9)
         stream_speedup = stream_reference_seconds / max(stream_fast_seconds, 1e-9)

@@ -107,8 +107,8 @@ IDENTITY_FLAGS = {
     ),
     "stream_explain_label_speedup_min": (
         "stream_identical",
-        "StreamGVEX's fast path (packed coverage + batched swaps + optional "
-        "compiled matcher) no longer produces the reference path's node sets",
+        "StreamGVEX's fast path (packed coverage + batched swaps) no longer "
+        "produces the reference path's node sets",
     ),
     "matching_speedup_min": (
         "matching_identical",

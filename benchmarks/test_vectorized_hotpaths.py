@@ -88,8 +88,8 @@ def test_vectorized_hot_paths(benchmark):
         "lazy (CELF) and eager selection must produce identical node sets"
     )
     assert report["stream_identical"], (
-        "StreamGVEX's fast path (packed coverage + batched swaps + optional "
-        "compiled matcher) must reproduce the reference path's node sets"
+        "StreamGVEX's fast path (packed coverage + batched swaps) must "
+        "reproduce the reference path's node sets"
     )
     assert report["matching_identical"], (
         "the indexed match engine must reproduce the reference matcher's results"

@@ -76,15 +76,11 @@ class InstanceViewExplainer:
 
     def explain_label(self, graphs: Sequence[Graph], label: int) -> ExplanationView:
         from repro.core.summarize import summarize_subgraphs
-        from repro.graphs.sparse import sparse_enabled
         from repro.mining.candidates import PatternGenerator
 
         start = time.perf_counter()
         graphs = [graph for graph in graphs if graph.num_nodes() > 0]
-        if sparse_enabled() and len(graphs) > 1:
-            predicted = self.model.predict_batch(graphs)
-        else:
-            predicted = [self.model.predict(graph) for graph in graphs]
+        predicted = self.model.predict_many(graphs)
         subgraphs = [
             self.base.explain_instance(graph)
             for graph, assigned in zip(graphs, predicted)

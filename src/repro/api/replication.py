@@ -43,7 +43,7 @@ import numpy as np
 from repro.api.serialize import delta_from_dict
 from repro.api.service import ExplanationService
 from repro.api.types import SCHEMA_VERSION
-from repro.core.config import Configuration, CoverageBound
+from repro.core.config import Configuration
 from repro.core.explanation import ExplanationView
 from repro.core.faults import fault_point
 from repro.core.maintenance import DEFAULT_STREAM_BATCH_SIZE
@@ -55,7 +55,6 @@ __all__ = [
     "BOOTSTRAP_KIND",
     "ReplicaService",
     "view_signature",
-    "config_from_canonical",
     "model_to_payload",
     "model_from_payload",
 ]
@@ -131,45 +130,14 @@ def view_signature(view: ExplanationView) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def config_from_canonical(payload: dict[str, Any]) -> Configuration:
-    """Rebuild a :class:`Configuration` from ``Configuration.canonical_dict()``.
-
-    The canonical dict serialises coverage bounds as ``(lower, upper)``
-    pairs (and JSON turns mapping keys into strings), so this is not a
-    plain ``Configuration(**payload)`` — the bounds are mapped back into
-    :class:`CoverageBound` objects and label keys back into ints.
-    """
-    lower, upper = payload["default_bound"]
-    return Configuration(
-        theta=payload["theta"],
-        radius=payload["radius"],
-        gamma=payload["gamma"],
-        default_bound=CoverageBound(int(lower), int(upper)),
-        coverage_bounds={
-            int(label): CoverageBound(int(bound[0]), int(bound[1]))
-            for label, bound in payload.get("coverage_bounds", {}).items()
-        },
-        influence_method=payload["influence_method"],
-        verification_mode=payload["verification_mode"],
-        min_check_size=payload["min_check_size"],
-        max_pattern_size=payload["max_pattern_size"],
-        max_pattern_candidates=payload["max_pattern_candidates"],
-        diversity_hops=payload["diversity_hops"],
-        selection_strategy=payload["selection_strategy"],
-        label_probability_cache_size=payload["label_probability_cache_size"],
-        match_cache_size=payload["match_cache_size"],
-        seed=payload["seed"],
-    )
-
-
 class ReplicaService:
     """A read-only mirror of a primary's live explanation views.
 
     Parameters
     ----------
     primary_url:
-        Base URL of the primary (e.g. ``http://127.0.0.1:8000``); versioned
-        and unversioned primaries both work — requests go to ``/v1``.
+        Base URL of the primary (e.g. ``http://127.0.0.1:8000``); requests
+        go to its ``/v1`` routes.
     poll_interval:
         Seconds between ``sync_once`` rounds in :meth:`run`.
     timeout:
@@ -258,7 +226,7 @@ class ReplicaService:
             )
         database = GraphDatabase.from_dict(payload["database"])
         model = model_from_payload(payload["model"])
-        config = config_from_canonical(payload["config"])
+        config = Configuration.from_canonical(payload["config"])
         if self.service is not None:
             self.service.close()
         service = ExplanationService(

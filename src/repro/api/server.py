@@ -32,9 +32,7 @@ Endpoints (canonical, versioned under ``/v1``)
 * ``GET  /v1/live``                — semantic signature of every live
   maintained view (what ``repro replicate`` diffs against its primary).
 
-Unversioned paths remain as **deprecated aliases**: they answer normally
-but carry a ``Deprecation: true`` response header and a ``Link``
-header pointing at the ``/v1`` successor.
+Every route lives under ``/v1``; a path outside it answers 404.
 
 ``create_server(..., read_only=True)`` builds a replica-facing server that
 rejects mutations (``POST /v1/ingest`` → 403) while keeping every read
@@ -96,23 +94,21 @@ class _ExplanationRequestHandler(BaseHTTPRequestHandler):
         if not self.quiet:
             super().log_message(format, *args)
 
-    def _resolve_path(self) -> tuple[str, dict[str, list[str]]]:
-        """Split the request into a canonical path + query params.
+    def _resolve_path(self) -> tuple[str, dict[str, list[str]]] | None:
+        """Split the request into its route below ``/v1`` and query params.
 
-        Strips the ``/v1`` prefix to the canonical route; an unversioned
-        path marks the response as deprecated (``Deprecation`` + ``Link``
-        headers on the way out).
+        A path outside ``/v1`` is answered 404 here and yields ``None``.
         """
         parts = urlsplit(self.path)
         path = parts.path.rstrip("/") or "/"
         prefix = f"/{API_VERSION}"
-        if path == prefix or path.startswith(prefix + "/"):
-            self._deprecated_alias = False
-            path = path[len(prefix) :] or "/"
-        else:
-            self._deprecated_alias = True
-        self._canonical_path = path
-        return path, parse_qs(parts.query)
+        if path != prefix and not path.startswith(prefix + "/"):
+            self._send_error(
+                f"unknown endpoint {parts.path!r}; every route is under {prefix}",
+                status=404,
+            )
+            return None
+        return path[len(prefix) :] or "/", parse_qs(parts.query)
 
     def _send_json(
         self,
@@ -126,12 +122,6 @@ class _ExplanationRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        if getattr(self, "_deprecated_alias", False):
-            # RFC 8594-style deprecation signalling on the legacy aliases:
-            # same behaviour, plus a pointer at the canonical /v1 route.
-            self.send_header("Deprecation", "true")
-            successor = f"/{API_VERSION}{self._canonical_path}"
-            self.send_header("Link", f'<{successor}>; rel="successor-version"')
         self.end_headers()
         self.wfile.write(body)
 
@@ -167,8 +157,9 @@ class _ExplanationRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)
         try:
             fault_point("server.request", context=lambda: f"GET {self.path}")
-            path, query = self._resolve_path()
-            self._route_get(path, query)
+            resolved = self._resolve_path()
+            if resolved is not None:
+                self._route_get(*resolved)
         except ReplicationGapError as error:
             # 410 Gone: the requested delta range is no longer retained.
             # The replica must fall back to a full snapshot re-sync.
@@ -190,8 +181,9 @@ class _ExplanationRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (http.server contract)
         try:
             fault_point("server.request", context=lambda: f"POST {self.path}")
-            path, _query = self._resolve_path()
-            self._route_post(path)
+            resolved = self._resolve_path()
+            if resolved is not None:
+                self._route_post(resolved[0])
         except ShardDownError as error:
             self._send_shard_down(error)
         except FaultInjected as error:

@@ -733,7 +733,7 @@ class ExplanationService:
     def stats(self) -> dict[str, Any]:
         """Service health snapshot (dataset, model quality, cache counters)."""
         from repro.core.caching import cache_aggregate, with_hit_rate
-        from repro.matching.engine import compiled_available, get_engine
+        from repro.matching.engine import get_engine
 
         with self._lock:
             labels_explained = sorted(self._latest)
@@ -745,7 +745,6 @@ class ExplanationService:
             "train_accuracy": self.train_accuracy,
             "test_accuracy": self.test_accuracy,
             "backend": "sparse" if sparse_enabled() else "legacy",
-            "compiled_matcher": compiled_available(),
             "cache": with_hit_rate(self.store.stats()),
             "match_engine_cache": with_hit_rate(get_engine().stats()),
             "label_probability_cache": cache_aggregate("label_probability"),
@@ -769,10 +768,7 @@ class ExplanationService:
     def _predicted_labels(self) -> dict[int | None, int]:
         if self._predicted is None:
             graphs = [graph for graph in self.database.graphs if graph.num_nodes() > 0]
-            if sparse_enabled() and len(graphs) > 1:
-                assigned = self.model.predict_batch(graphs)
-            else:
-                assigned = [self.model.predict(graph) for graph in graphs]
+            assigned = self.model.predict_many(graphs)
             self._predicted = {
                 graph.graph_id: label for graph, label in zip(graphs, assigned)
             }

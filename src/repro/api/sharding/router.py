@@ -1176,10 +1176,7 @@ class ShardRouter:
                 graphs = [
                     graph for graph in self.database.graphs if graph.num_nodes() > 0
                 ]
-                if sparse_enabled() and len(graphs) > 1:
-                    assigned = self.model.predict_batch(graphs)
-                else:
-                    assigned = [self.model.predict(graph) for graph in graphs]
+                assigned = self.model.predict_many(graphs)
                 self._predicted = {
                     graph.graph_id: label for graph, label in zip(graphs, assigned)
                 }

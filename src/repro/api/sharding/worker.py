@@ -25,11 +25,12 @@ import time
 from typing import Any
 
 from repro.api.registry import create_explainer
-from repro.api.replication import config_from_canonical, model_from_payload
+from repro.api.replication import model_from_payload
 from repro.api.serialize import view_to_dict
 from repro.api.service import ExplanationService
 from repro.api.sharding.shm import attach_arena
 from repro.api.types import ExplainRequest
+from repro.core.config import Configuration
 from repro.core.faults import FaultPlan, activate, fault_point
 from repro.exceptions import ExplanationError, ReproError
 from repro.graphs.database import GraphDatabase
@@ -100,7 +101,7 @@ class ShardHost:
             bootstrap.get("dataset"),
             database=database,
             model=model_from_payload(bootstrap["model"]),
-            config=config_from_canonical(bootstrap["config"]),
+            config=Configuration.from_canonical(bootstrap["config"]),
             cache_dir=bootstrap.get("cache_dir"),
             wal_dir=bootstrap.get("wal_dir"),
             wal_sync=bootstrap.get("wal_sync", True),
@@ -143,7 +144,7 @@ class ShardHost:
             algorithm=payload.get("algorithm", "approx"),
             label=payload["label"],
             config=(
-                config_from_canonical(config)
+                Configuration.from_canonical(config)
                 if config is not None
                 else self.service.config
             ),

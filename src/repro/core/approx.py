@@ -13,6 +13,9 @@ For a single source graph the algorithm
 
 The driver :class:`ApproxGVEX` applies this per graph of a label group and
 assembles the per-label :class:`~repro.core.explanation.ExplanationView`.
+Growth and top-up run the CELF engine of :mod:`repro.core.selection`; the
+eager loops it reproduces node for node live in :mod:`repro.core.oracles`,
+for the identity tests and the benchmarks.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import time
 from collections.abc import Sequence
 
 from repro.core.caching import LRUCache, accumulate_cache_stats
-from repro.core.config import Configuration
+from repro.core.config import Configuration, CoverageBound
 from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
+from repro.core.quality import GraphAnalysis
 from repro.core.sampling import build_analysis
 from repro.core.selection import lazy_greedy_select
 from repro.core.summarize import summarize_subgraphs
@@ -36,7 +40,53 @@ from repro.graphs.subgraph import induced_subgraph
 from repro.matching.engine import apply_config_cache_size
 from repro.mining.candidates import PatternGenerator
 
-__all__ = ["ApproxGVEX"]
+__all__ = ["ApproxGVEX", "SubsetProbabilities"]
+
+
+class SubsetProbabilities:
+    """``P(label | G[nodes])`` for node subsets of one graph, memoised.
+
+    The greedy tie-breakers and the counterfactual swap loop probe many
+    overlapping subsets.  The memo is an LRU capped by the configuration, so
+    memory stays flat on large graphs; with the sparse backend each miss is
+    a matrix slice plus a forward pass rather than a materialised subgraph.
+    """
+
+    def __init__(self, model: GNNClassifier, graph: Graph, label: int, capacity: int) -> None:
+        self.model = model
+        self.graph = graph
+        self.label = label
+        self.cache: LRUCache[frozenset[int], float] = LRUCache(capacity)
+
+    def __call__(self, nodes: frozenset[int]) -> float:
+        if not nodes:
+            return 0.0
+        cached = self.cache.get(nodes)
+        if cached is None:
+            cached = float(self.model.predict_proba_nodes(self.graph, nodes)[self.label])
+            self.cache.put(nodes, cached)
+        return cached
+
+    def removal_gain(self, residual: frozenset[int], node: int) -> float:
+        """Drop in the residual graph's probability when ``node`` leaves it."""
+        return self(residual) - self(residual - {node})
+
+    def addition_gain(self, kept: frozenset[int], node: int) -> float:
+        """Rise in the kept subgraph's probability when ``node`` joins it."""
+        return self(kept | {node}) - self(kept)
+
+    def prefetch(self, node_sets: Sequence[frozenset[int]]) -> None:
+        """Fill the memo for many subsets with one batched forward pass."""
+        if self.cache.capacity <= 0:
+            return  # nowhere to store the batch results
+        missing = [
+            nodes for nodes in dict.fromkeys(node_sets) if nodes and nodes not in self.cache
+        ]
+        if len(missing) < 2 or not sparse_enabled():
+            return
+        probabilities = self.model.predict_proba_subsets(self.graph, missing)
+        for nodes, row in zip(missing, probabilities):
+            self.cache.put(nodes, float(row[self.label]))
 
 
 class ApproxGVEX:
@@ -131,230 +181,174 @@ class ApproxGVEX:
             label = self.model.predict(graph)
         bound = self.config.bound_for(label)
         analysis = build_analysis(self.model, graph, self.config)
-
-        selected: set[int] = set()
-        backup: set[int] = set()
-        all_nodes = set(graph.nodes)
-        use_lazy = self.config.selection_strategy == "lazy"
-
-        # Label probabilities of node-induced subgraphs, memoised by node set
-        # with a config-capped LRU so memory stays flat on large graphs: the
-        # greedy tie-breakers and the counterfactual swap loop below probe
-        # many overlapping subsets, and with the sparse backend each miss is
-        # a matrix slice + forward pass rather than a materialised subgraph.
-        label_probability_cache: LRUCache[frozenset[int], float] = LRUCache(
-            self.config.label_probability_cache_size
+        probabilities = SubsetProbabilities(
+            self.model, graph, label, self.config.label_probability_cache_size
         )
-
-        def label_probability(nodes: frozenset[int]) -> float:
-            if not nodes:
-                return 0.0
-            cached = label_probability_cache.get(nodes)
-            if cached is None:
-                cached = float(self.model.predict_proba_nodes(graph, nodes)[label])
-                label_probability_cache.put(nodes, cached)
-            return cached
-
-        def prefetch_probabilities(node_sets: Sequence[frozenset[int]]) -> None:
-            """Fill the memo for many subsets with one batched forward pass."""
-            if label_probability_cache.capacity <= 0:
-                return  # nowhere to store the batch results
-            missing = [
-                nodes
-                for nodes in dict.fromkeys(node_sets)
-                if nodes and nodes not in label_probability_cache
-            ]
-            if len(missing) < 2 or not sparse_enabled():
-                return
-            probabilities = self.model.predict_proba_subsets(graph, missing)
-            for nodes, row in zip(missing, probabilities):
-                label_probability_cache.put(nodes, float(row[label]))
-
-        def counterfactual_gain(node: int) -> float:
-            """Drop in the residual graph's probability of ``label`` caused by
-            moving ``node`` into the explanation.
-
-            Used only to break ties between candidates whose Eq.-2 marginal
-            gain is identical (coverage saturates quickly on small graphs);
-            it steers the remaining budget towards the nodes the classifier
-            actually relies on, which is what the counterfactual property of
-            an explanation subgraph requires.
-            """
-            residual_now = frozenset(all_nodes - selected)
-            return label_probability(residual_now) - label_probability(residual_now - {node})
-
-        # Greedy growth under the upper bound (Algorithm 1 lines 3-9): keep
-        # selecting the candidate with the best marginal gain until the size
-        # budget is exhausted or no candidate passes VpExtend.  The lazy
-        # (CELF) engine produces node sets identical to the eager loop while
-        # re-evaluating only the heap entries whose stale upper bound still
-        # competes; the eager loop is kept as the A/B efficiency baseline.
-        if use_lazy:
-
-            def choose_tied(tied: Sequence[int], current: set[int]) -> int:
-                residual_now = frozenset(all_nodes - current)
-                prefetch_probabilities(
-                    [residual_now] + [residual_now - {node} for node in tied]
-                )
-
-                def gain_of(node: int) -> float:
-                    return label_probability(residual_now) - label_probability(
-                        residual_now - {node}
-                    )
-
-                return max(
-                    tied,
-                    key=lambda node: (
-                        round(gain_of(node), 6),
-                        analysis.exerted_influence(node),
-                        -node,
-                    ),
-                )
-
-            selected = lazy_greedy_select(
-                analysis,
-                graph.nodes,
-                selected,
-                bound.upper,
-                lambda nodes, current: self._vp_extend_many(nodes, current, graph, label),
-                choose_tied,
-                gain_key=lambda gain: round(float(gain), 9),
-                backup=backup if bound.lower > 0 else None,
-            )
-        else:
-            while len(selected) < bound.upper and all_nodes - selected:
-                candidates: list[int] = []
-                for node in all_nodes - selected:
-                    if self._vp_extend(node, selected, graph, label):
-                        candidates.append(node)
-                backup |= set(candidates)
-                if not candidates:
-                    break
-                # One batched evaluation of every candidate's Eq.-2 gain, then
-                # the tie-breakers (counterfactual gain, exerted influence).
-                gains = analysis.marginal_gains(selected, candidates)
-                best = max(
-                    range(len(candidates)),
-                    key=lambda slot: (
-                        round(float(gains[slot]), 9),
-                        round(counterfactual_gain(candidates[slot]), 6),
-                        analysis.exerted_influence(candidates[slot]),
-                        -candidates[slot],
-                    ),
-                )
-                selected.add(candidates[best])
-
-        # Top up from the backup candidate set until the lower bound is met.
-        if use_lazy:
+        try:
+            backup: set[int] = set()
+            selected = self._grow(graph, label, analysis, probabilities, bound, backup)
             if len(selected) < bound.lower and backup - selected:
-                selected = lazy_greedy_select(
-                    analysis,
-                    sorted(backup - selected),
-                    selected,
-                    bound.lower,
-                    lambda nodes, current: self._vp_extend_many(nodes, current, graph, label),
-                    lambda tied, current: min(tied),
+                selected = self._top_up(graph, label, analysis, selected, backup, bound.lower)
+            if len(selected) < bound.lower or not selected:
+                return None
+            if self.config.verification_mode != "none":
+                selected = self._complete_counterfactual(
+                    graph, label, analysis, probabilities, selected
                 )
-        else:
-            while len(selected) < bound.lower and backup - selected:
-                usable = [
-                    node
-                    for node in backup - selected
-                    if self._vp_extend(node, selected, graph, label)
-                ]
-                if not usable:
-                    break
-                gains = analysis.marginal_gains(selected, usable)
-                best = max(
-                    range(len(usable)), key=lambda slot: (float(gains[slot]), -usable[slot])
-                )
-                selected.add(usable[best])
-
-        if len(selected) < bound.lower or not selected:
-            accumulate_cache_stats("label_probability", label_probability_cache)
-            return None
-
-        # Counterfactual completion.  The definition of an explanation
-        # subgraph (section 2.2) requires M(G \ Gs) != l.  On very robust
-        # classifiers the greedy influence-maximising selection may leave the
-        # counterfactual constraint unsatisfied within the size budget, so we
-        # swap the least valuable selected nodes for the unselected nodes
-        # with the largest counterfactual gain until the constraint holds
-        # (or the swap budget — one pass over the selection — is spent).
-        def sufficiency_gain(node: int) -> float:
-            """Increase in the explanation subgraph's own probability of
-            ``label`` when ``node`` joins it.  Complements the counterfactual
-            gain: on robust classifiers whose evidence is spread over a motif,
-            single-node removals barely move the residual probability, but the
-            nodes that make the kept subgraph *sufficient* are the same ones
-            whose joint removal flips the prediction."""
-            current = frozenset(selected)
-            return label_probability(current | {node}) - label_probability(current)
-
-        if self.config.verification_mode != "none" and selected:
-            swaps_left = len(selected)
-            swapped_in: set[int] = set()
-            while swaps_left > 0 and not self.everify.is_counterfactual(graph, selected, label):
-                outside = all_nodes - selected
-                # Nodes brought in by earlier swaps are protected from
-                # eviction, otherwise the swap loop can oscillate and never
-                # assemble the full counterfactual evidence set.
-                evictable = selected - swapped_in
-                if not outside or not evictable:
-                    break
-                if use_lazy:
-                    # One batched pass over every probe this swap iteration
-                    # needs (residual and sufficiency probabilities per
-                    # outside node) instead of two forwards per node.
-                    residual_now = frozenset(all_nodes - selected)
-                    current = frozenset(selected)
-                    prefetch_probabilities(
-                        [residual_now, current]
-                        + [residual_now - {node} for node in outside]
-                        + [current | {node} for node in outside]
-                    )
-                best_out = max(
-                    outside,
-                    key=lambda node: (
-                        round(counterfactual_gain(node) + sufficiency_gain(node), 6),
-                        analysis.exerted_influence(node),
-                        -node,
-                    ),
-                )
-                weakest_in = min(
-                    evictable,
-                    key=lambda node: (
-                        analysis.loss_of_removal(selected, node),
-                        analysis.exerted_influence(node),
-                        node,
-                    ),
-                )
-                selected = (selected - {weakest_in}) | {best_out}
-                swapped_in.add(best_out)
-                swaps_left -= 1
-
+        finally:
+            # The memo dies with this call; bank its counters for stats().
+            accumulate_cache_stats("label_probability", probabilities.cache)
         subgraph = ExplanationSubgraph(
             source_graph=graph,
             nodes=selected,
             label=label,
             explainability=analysis.explainability(selected),
         )
-        # The memo dies with this call; bank its counters for stats().
-        accumulate_cache_stats("label_probability", label_probability_cache)
         return self.everify.annotate(subgraph)
+
+    def _grow(
+        self,
+        graph: Graph,
+        label: int,
+        analysis: GraphAnalysis,
+        probabilities: SubsetProbabilities,
+        bound: CoverageBound,
+        backup: set[int],
+    ) -> set[int]:
+        """Greedy growth under the upper bound (Algorithm 1 lines 3-9).
+
+        Keeps selecting the candidate with the best marginal gain until the
+        size budget is exhausted or no candidate passes ``VpExtend``; when
+        the bound has a lower end, every node that ever passes verification
+        lands in ``backup`` for the top-up.  Runs the
+        CELF engine, which re-evaluates only the heap entries whose stale
+        upper bound still competes.  Ties on the Eq.-2 gain (coverage
+        saturates quickly on small graphs) go to the largest counterfactual
+        gain: the drop in the residual graph's probability of ``label`` when
+        the node moves into the explanation, which steers the budget towards
+        the nodes the classifier actually relies on.
+        """
+        all_nodes = frozenset(graph.nodes)
+
+        def choose_tied(tied: Sequence[int], current: set[int]) -> int:
+            residual = all_nodes - current
+            self._prefetch(probabilities, [residual] + [residual - {node} for node in tied])
+            return max(
+                tied,
+                key=lambda node: (
+                    round(probabilities.removal_gain(residual, node), 6),
+                    analysis.exerted_influence(node),
+                    -node,
+                ),
+            )
+
+        return lazy_greedy_select(
+            analysis,
+            graph.nodes,
+            set(),
+            bound.upper,
+            lambda nodes, current: self._vp_extend_many(nodes, current, graph, label),
+            choose_tied,
+            gain_key=lambda gain: round(float(gain), 9),
+            backup=backup if bound.lower > 0 else None,
+        )
+
+    def _top_up(
+        self,
+        graph: Graph,
+        label: int,
+        analysis: GraphAnalysis,
+        selected: set[int],
+        backup: set[int],
+        lower: int,
+    ) -> set[int]:
+        """Grow ``selected`` from the backup set until the lower bound is met."""
+        return lazy_greedy_select(
+            analysis,
+            sorted(backup - selected),
+            selected,
+            lower,
+            lambda nodes, current: self._vp_extend_many(nodes, current, graph, label),
+            lambda tied, current: min(tied),
+        )
+
+    def _prefetch(
+        self, probabilities: SubsetProbabilities, node_sets: Sequence[frozenset[int]]
+    ) -> None:
+        """Batch the label-probability probes a selection step is about to make."""
+        probabilities.prefetch(node_sets)
+
+    def _complete_counterfactual(
+        self,
+        graph: Graph,
+        label: int,
+        analysis: GraphAnalysis,
+        probabilities: SubsetProbabilities,
+        selected: set[int],
+    ) -> set[int]:
+        """Swap nodes until ``M(G \\ Gs) != l`` holds or one pass is spent.
+
+        The definition of an explanation subgraph (section 2.2) requires the
+        counterfactual property.  On very robust classifiers the greedy
+        influence-maximising selection may leave it unsatisfied within the
+        size budget, so the least valuable selected nodes are swapped for the
+        unselected nodes with the largest counterfactual plus sufficiency
+        gain.  The sufficiency gain is the rise in the kept subgraph's own
+        probability of ``label`` when a node joins it: when a classifier's
+        evidence is spread over a motif, single-node removals barely move the
+        residual probability, but the nodes that make the kept subgraph
+        sufficient are the ones whose joint removal flips the prediction.
+        """
+        all_nodes = frozenset(graph.nodes)
+        swaps_left = len(selected)
+        swapped_in: set[int] = set()
+        while swaps_left > 0 and not self.everify.is_counterfactual(graph, selected, label):
+            outside = all_nodes - selected
+            # Nodes brought in by earlier swaps are protected from eviction,
+            # otherwise the loop can oscillate and never assemble the full
+            # counterfactual evidence set.
+            evictable = selected - swapped_in
+            if not outside or not evictable:
+                break
+            residual = frozenset(outside)
+            current = frozenset(selected)
+            self._prefetch(
+                probabilities,
+                [residual, current]
+                + [residual - {node} for node in outside]
+                + [current | {node} for node in outside],
+            )
+            best_out = max(
+                outside,
+                key=lambda node: (
+                    round(
+                        probabilities.removal_gain(residual, node)
+                        + probabilities.addition_gain(current, node),
+                        6,
+                    ),
+                    analysis.exerted_influence(node),
+                    -node,
+                ),
+            )
+            weakest_in = min(
+                evictable,
+                key=lambda node: (
+                    analysis.loss_of_removal(selected, node),
+                    analysis.exerted_influence(node),
+                    node,
+                ),
+            )
+            selected = (selected - {weakest_in}) | {best_out}
+            swapped_in.add(best_out)
+            swaps_left -= 1
+        return selected
 
     # ------------------------------------------------------------------
     # per-label view and full view-set drivers
     # ------------------------------------------------------------------
     def _predicted_labels(self, graphs: Sequence[Graph]) -> list[int]:
-        """Predicted label per graph — one batched pass for the whole group.
-
-        The eager strategy keeps the per-graph reference path so the A/B
-        efficiency benchmarks time the pre-CELF pipeline end to end.
-        """
-        if self.config.selection_strategy == "lazy" and sparse_enabled() and len(graphs) > 1:
-            return self.model.predict_batch(graphs)
-        return [self.model.predict(graph) for graph in graphs]
+        """Predicted label per graph (one batched pass for the whole group)."""
+        return self.model.predict_many(graphs)
 
     def explain_label(self, graphs: Sequence[Graph], label: int) -> ExplanationView:
         """Explanation view for one label group (graphs the GNN assigns ``label``)."""

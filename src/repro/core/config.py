@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 from repro.exceptions import ConfigurationError
 
@@ -23,9 +25,11 @@ __all__ = ["CoverageBound", "Configuration"]
 
 _VERIFICATION_MODES = ("strict", "consistent", "none")
 _INFLUENCE_METHODS = ("auto", "propagation", "exact")
-_SELECTION_STRATEGIES = ("lazy", "eager")
-_STREAM_BATCHING = ("auto", "on", "off")
 _OBJECTIVES = ("exact", "sampled")
+# Entries every canonical dict carries at a fixed value.  They once named
+# two interchangeable selection loops (both gave identical views); pinning
+# them keeps every persisted fingerprint byte-stable.
+_PINNED_CANONICAL = {"selection_strategy": "lazy", "stream_batching": "auto"}
 
 
 @dataclass(frozen=True)
@@ -97,28 +101,6 @@ class Configuration:
         Caps forwarded to the pattern generator (``PGen``).
     diversity_hops:
         r-hop neighbourhood radius handed to ``IncPGen`` in streaming mode.
-    selection_strategy:
-        How the greedy loops pick the next node:
-
-        * ``lazy`` (default) — CELF-style lazy greedy: marginal gains are kept
-          in a max-heap of stale upper bounds (valid because the Eq.-2
-          objective is monotone submodular) and only re-evaluated on pop, and
-          the model-probe tie-breakers run only on the exact-gain ties that
-          surface.  Produces node sets *identical* to the eager loop.
-        * ``eager`` — the reference loop: every unselected node is re-verified
-          and re-scored on every iteration.  Kept as the A/B baseline for the
-          end-to-end efficiency benchmarks.
-    stream_batching:
-        How ``StreamGVEX`` processes a batch of arriving nodes:
-
-        * ``auto`` (default) — use the batched swap path (packed-mask
-          coverage deltas, cached subset scores, short-circuit novelty
-          probes) whenever the sparse backend is enabled, and the per-node
-          reference loop otherwise — so the A/B benchmark arms exercise
-          both implementations with no extra wiring.
-        * ``on`` / ``off`` — force the batched or the per-node path
-          regardless of backend.  Both paths produce identical views;
-          ``off`` is the oracle the identity tests compare against.
     label_probability_cache_size:
         LRU capacity of the per-graph memo of subgraph label probabilities
         used by the greedy tie-breakers and the counterfactual swap loop
@@ -191,8 +173,6 @@ class Configuration:
     max_pattern_size: int = 4
     max_pattern_candidates: int = 32
     diversity_hops: int = 1
-    selection_strategy: str = "lazy"
-    stream_batching: str = "auto"
     label_probability_cache_size: int = 8192
     match_cache_size: int = 4096
     seed: int = 0
@@ -238,14 +218,6 @@ class Configuration:
             raise ConfigurationError("max_pattern_candidates must be at least 1")
         if self.diversity_hops < 0:
             raise ConfigurationError("diversity_hops must be non-negative")
-        if self.selection_strategy not in _SELECTION_STRATEGIES:
-            raise ConfigurationError(
-                f"selection_strategy must be one of {_SELECTION_STRATEGIES}"
-            )
-        if self.stream_batching not in _STREAM_BATCHING:
-            raise ConfigurationError(
-                f"stream_batching must be one of {_STREAM_BATCHING}"
-            )
         if self.label_probability_cache_size < 0:
             raise ConfigurationError("label_probability_cache_size must be non-negative")
         if self.match_cache_size < 0:
@@ -349,8 +321,7 @@ class Configuration:
             },
             "influence_method": self.influence_method,
             "verification_mode": self.verification_mode,
-            "selection_strategy": self.selection_strategy,
-            "stream_batching": self.stream_batching,
+            **_PINNED_CANONICAL,
             "label_probability_cache_size": self.label_probability_cache_size,
             "match_cache_size": self.match_cache_size,
             "seed": self.seed,
@@ -392,6 +363,27 @@ class Configuration:
             "max_pattern_candidates": self.max_pattern_candidates,
             "diversity_hops": self.diversity_hops,
         }
+
+    @classmethod
+    def from_canonical(cls, payload: Mapping[str, Any]) -> "Configuration":
+        """Rebuild a configuration from :meth:`canonical_dict` output.
+
+        Accepts the dict as-is or after a JSON round trip: coverage bounds
+        come back from ``(lower, upper)`` pairs, label keys from strings to
+        ints, and the pinned entries are ignored.  The result has the same
+        fingerprint as the configuration that produced the payload.
+        """
+        fields = {key: value for key, value in payload.items() if key not in _PINNED_CANONICAL}
+        lower, upper = fields.pop("default_bound")
+        bounds = fields.pop("coverage_bounds", {})
+        return cls(
+            default_bound=CoverageBound(int(lower), int(upper)),
+            coverage_bounds={
+                int(label): CoverageBound(int(low), int(high))
+                for label, (low, high) in bounds.items()
+            },
+            **fields,
+        )
 
     def fingerprint(self) -> str:
         """A stable 16-hex-digit hash of the full configuration.

@@ -61,7 +61,6 @@ from repro.gnn.models import GNNClassifier
 from repro.graphs.database import DatabaseDelta, GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import GraphPattern
-from repro.graphs.sparse import sparse_enabled
 from repro.graphs.subgraph import induced_subgraph
 from repro.matching.engine import apply_config_cache_size
 from repro.matching.incremental import IncrementalMatcher
@@ -166,20 +165,6 @@ class NodeStreamProcessor:
         prime_vp_extend_probes(self.everify, graph, nodes, selected, label, self.config)
         return [self._vp_extend(node, selected, graph, label) for node in nodes]
 
-    def _stream_batched(self) -> bool:
-        """Whether the batched stream path is active (``stream_batching``).
-
-        ``auto`` follows the sparse-backend toggle, so the A/B benchmark's
-        reference arm (legacy backend) automatically runs the per-node
-        oracle loop with no extra wiring.
-        """
-        mode = self.config.stream_batching
-        if mode == "on":
-            return True
-        if mode == "off":
-            return False
-        return sparse_enabled()
-
     # ------------------------------------------------------------------
     # IncUpdateVS (Procedure 4)
     # ------------------------------------------------------------------
@@ -198,50 +183,26 @@ class NodeStreamProcessor:
             return selected
         if len(selected) < upper_bound:
             return selected | {candidate}
-        if self._stream_batched():
-            # Swap-first evaluation, provably outcome-identical to the
-            # oracle's case-(b)-then-(c) order: when the swap rule rejects,
-            # the answer is ``selected`` whichever branch fires first, so
-            # the case-(b) novelty question only needs answering for the
-            # rare *accepted* swaps.  The objective calls below run on the
-            # packed popcount kernels with memoised subset scores, and the
-            # novelty answer comes from the short-circuiting key probe —
-            # no patterns are mined here (IncUpdateP mines them later,
-            # only for accepted candidates).
-            weakest = min(
-                selected, key=lambda node: (analysis.loss_of_removal(selected, node), node)
-            )
-            reduced = selected - {weakest}
-            gain_new = analysis.explainability(reduced | {candidate}) - analysis.explainability(reduced)
-            gain_old = analysis.explainability(selected) - analysis.explainability(reduced)
-            if gain_new < 2.0 * gain_old:
-                return selected
-            if patterns:
-                covered = matcher.covered_by_set(patterns, seen_graph)
-                if candidate in covered and not self.pattern_generator.has_novel_pattern(
-                    seen_graph, candidate, patterns, hops=self.config.diversity_hops
-                ):
-                    return selected
-            return reduced | {candidate}
-        # Case (b): skip nodes the pattern set already summarises and nodes
-        # that would not contribute any new pattern.
-        if patterns:
-            covered = matcher.covered_by_set(patterns, seen_graph)
-            if candidate in covered:
-                new_patterns = self.pattern_generator.generate_incremental(
-                    seen_graph, candidate, patterns, hops=self.config.diversity_hops
-                )
-                if not new_patterns:
-                    return selected
-        # Case (c): swap against the weakest cached node when the gain is at
-        # least twice the loss.
+        # Swap-first evaluation.  When the swap rule rejects, the answer is
+        # ``selected`` whichever of the paper's cases (b) and (c) fires
+        # first, so the case-(b) novelty question only needs answering for
+        # the rare *accepted* swaps.  The objective calls run on the packed
+        # popcount kernels with memoised subset scores, and the novelty
+        # answer comes from the short-circuiting key probe: no patterns are
+        # mined here (IncUpdateP mines them later, for accepted candidates).
         weakest = min(selected, key=lambda node: (analysis.loss_of_removal(selected, node), node))
         reduced = selected - {weakest}
         gain_new = analysis.explainability(reduced | {candidate}) - analysis.explainability(reduced)
         gain_old = analysis.explainability(selected) - analysis.explainability(reduced)
-        if gain_new >= 2.0 * gain_old:
-            return reduced | {candidate}
-        return selected
+        if gain_new < 2.0 * gain_old:
+            return selected
+        if patterns:
+            covered = matcher.covered_by_set(patterns, seen_graph)
+            if candidate in covered and not self.pattern_generator.has_novel_pattern(
+                seen_graph, candidate, patterns, hops=self.config.diversity_hops
+            ):
+                return selected
+        return reduced | {candidate}
 
     # ------------------------------------------------------------------
     # IncUpdateP (Procedure 5)
@@ -314,7 +275,8 @@ class NodeStreamProcessor:
         per node against the packed coverage kernels.  The node cache changes
         rarely (a swap needs gain >= 2x loss), so whenever it *does* change
         the not-yet-processed suffix is re-verified against the new cache —
-        keeping the outcome identical to the per-node oracle loop.
+        keeping the outcome identical to the per-node loop of
+        :class:`~repro.core.oracles.ReferenceStreamProcessor`.
         """
         pending = list(batch)
         while pending:
@@ -382,23 +344,10 @@ class NodeStreamProcessor:
             seen_graph = induced_subgraph(graph, seen)
             # IncEVerify: refresh influence/diversity on the seen fraction.
             analysis = build_analysis(self.model, seen_graph, self.config)
-            if self._stream_batched():
-                selected, patterns = self._process_batch(
-                    batch, selected, backup, patterns, analysis, matcher,
-                    seen_graph, graph, label, bound.upper,
-                )
-            else:
-                for node in batch:
-                    backup.add(node)
-                    if not self._vp_extend(node, selected, seen_graph, label):
-                        continue
-                    updated = self._inc_update_vs(
-                        node, selected, analysis, patterns, matcher, seen_graph, bound.upper
-                    )
-                    if updated != selected:
-                        selected = updated
-                        if node in selected:
-                            patterns = self._inc_update_p(node, selected, patterns, graph, matcher)
+            selected, patterns = self._process_batch(
+                batch, selected, backup, patterns, analysis, matcher,
+                seen_graph, graph, label, bound.upper,
+            )
             if record_history:
                 history.append(
                     {
@@ -409,34 +358,10 @@ class NodeStreamProcessor:
                     }
                 )
 
-        # Post-processing: meet the lower bound from the backup set.  The
-        # lazy (CELF) top-up picks node sets identical to the eager loop; the
-        # eager loop stays as the A/B efficiency baseline.
+        # Post-processing: meet the lower bound from the backup set.
         if analysis is not None:
-            if self.config.selection_strategy == "lazy":
-                if len(selected) < bound.lower and backup - selected:
-                    selected = lazy_greedy_select(
-                        analysis,
-                        sorted(backup - selected),
-                        selected,
-                        bound.lower,
-                        lambda nodes, current: self._vp_extend_many(nodes, current, graph, label),
-                        lambda tied, current: min(tied),
-                    )
-            else:
-                while len(selected) < bound.lower and backup - selected:
-                    usable = [
-                        node
-                        for node in backup - selected
-                        if self._vp_extend(node, selected, graph, label)
-                    ]
-                    if not usable:
-                        break
-                    gains = analysis.marginal_gains(selected, usable)
-                    best = max(
-                        range(len(usable)), key=lambda slot: (float(gains[slot]), -usable[slot])
-                    )
-                    selected.add(usable[best])
+            if len(selected) < bound.lower and backup - selected:
+                selected = self._top_up(graph, label, analysis, selected, backup, bound.lower)
             if selected:
                 patterns = self._inc_update_p(
                     next(iter(selected)), selected, patterns, graph, matcher
@@ -458,14 +383,31 @@ class NodeStreamProcessor:
         self.everify.annotate(subgraph)
         return subgraph, patterns, history
 
+    def _top_up(
+        self,
+        graph: Graph,
+        label: int,
+        analysis: GraphAnalysis,
+        selected: set[int],
+        backup: set[int],
+        lower: int,
+    ) -> set[int]:
+        """Grow ``selected`` from the backup set until the lower bound is met."""
+        return lazy_greedy_select(
+            analysis,
+            sorted(backup - selected),
+            selected,
+            lower,
+            lambda nodes, current: self._vp_extend_many(nodes, current, graph, label),
+            lambda tied, current: min(tied),
+        )
+
     # ------------------------------------------------------------------
     # shared label prediction
     # ------------------------------------------------------------------
     def _predicted_labels(self, graphs: Sequence[Graph]) -> list[int]:
-        """Predicted label per graph (batched under the lazy strategy)."""
-        if self.config.selection_strategy == "lazy" and sparse_enabled() and len(graphs) > 1:
-            return self.model.predict_batch(graphs)
-        return [self.model.predict(graph) for graph in graphs]
+        """Predicted label per graph (one batched pass for the whole group)."""
+        return self.model.predict_many(graphs)
 
 
 class _WeakMaintainerHook:

@@ -9,8 +9,8 @@ competes with the best exact gain seen this round, instead of re-scoring
 (and re-verifying) every unselected node on every iteration the way the
 eager reference loop does.
 
-The engine is written to be *output-identical* to the eager loops in
-:mod:`repro.core.approx` / :mod:`repro.core.streaming`:
+The engine is written to be *output-identical* to the eager loops of
+:mod:`repro.core.oracles`:
 
 * exact gains come from :class:`~repro.core.quality.CoverageState`, whose
   float expression matches the eager ``marginal_gains`` bit for bit;

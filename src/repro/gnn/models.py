@@ -225,7 +225,13 @@ class GNNClassifier:
         return int(np.argmax(self.predict_logits(graph)))
 
     def predict_many(self, graphs: Sequence[Graph]) -> list[int]:
-        """Labels for a sequence of graphs."""
+        """Labels for a sequence of graphs.
+
+        One batched pass (:meth:`predict_batch`) when the sparse backend is
+        on and there is more than one graph; one forward per graph otherwise.
+        """
+        if sparse_enabled() and len(graphs) > 1:
+            return self.predict_batch(graphs)
         return [self.predict(graph) for graph in graphs]
 
     # ------------------------------------------------------------------

@@ -124,7 +124,6 @@ class SparseGraphView:
         "_neighbour_type_counts",
         "_row_neighbour_sets",
         "_edge_code_map",
-        "_adjacency_codes",
     )
 
     def __init__(self, graph: "Graph") -> None:
@@ -192,7 +191,6 @@ class SparseGraphView:
         self._neighbour_type_counts: np.ndarray | None = None
         self._row_neighbour_sets: list[set[int]] | None = None
         self._edge_code_map: dict[int, int] | None = None
-        self._adjacency_codes: np.ndarray | None = None
 
     @classmethod
     def from_parts(
@@ -250,7 +248,6 @@ class SparseGraphView:
         view._neighbour_type_counts = None
         view._row_neighbour_sets = None
         view._edge_code_map = None
-        view._adjacency_codes = None
         return view
 
     # ------------------------------------------------------------------
@@ -357,24 +354,6 @@ class SparseGraphView:
             keys = (lo * np.int64(self.num_nodes) + hi).tolist()
             self._edge_code_map = dict(zip(keys, self.edge_type_codes.tolist()))
         return self._edge_code_map
-
-    def adjacency_code_matrix(self) -> np.ndarray:
-        """``(num_nodes, num_nodes)`` edge-type codes, ``-1`` where no edge.
-
-        The flat-array adjacency the compiled matcher kernel walks
-        (:mod:`repro.matching.compiled`): one int64 load answers both "are
-        these rows adjacent?" and "with which edge type?".  Dense on purpose
-        — GVEX graphs top out at a few hundred nodes, and the matrix is only
-        materialised when the compiled kernel actually runs (cached; treat
-        as read-only).
-        """
-        if self._adjacency_codes is None:
-            codes = np.full((self.num_nodes, self.num_nodes), -1, dtype=np.int64)
-            if len(self.edge_u):
-                codes[self.edge_u, self.edge_v] = self.edge_type_codes
-                codes[self.edge_v, self.edge_u] = self.edge_type_codes
-            self._adjacency_codes = codes
-        return self._adjacency_codes
 
     def node_type_code(self, type_name: str) -> int | None:
         """Code of a node-type name, or ``None`` when absent from this graph."""

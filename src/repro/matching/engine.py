@@ -38,14 +38,6 @@ those calls cheap with three layers:
    complete matching, hence the yielded sequence (and therefore the truncated
    result) is bit-identical to the reference.
 
-4. **Optional compiled kernel** — with the ``[perf]`` extra installed
-   (``numba``), order-insensitive *counting* queries (existence, capped and
-   uncapped counts) run an njit-compiled flat-array backtracker
-   (:mod:`repro.matching.compiled`) instead of the interpreted search.  The
-   kernel applies the exact same compatibility predicate, so counts are
-   identical; :func:`compiled_available` reports whether it is active, and
-   everything works unchanged (interpreted) when numba is absent.
-
 The module-level :func:`has_matching` / :func:`count_matchings` /
 :func:`matched_node_sets` / :func:`match_many` dispatchers route through the
 engine when the sparse backend is enabled (the default) and fall back to the
@@ -67,7 +59,6 @@ import numpy as np
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import GraphPattern
 from repro.graphs.sparse import SparseGraphView, sparse_enabled
-from repro.matching.compiled import compiled_available, compiled_count
 from repro.matching.isomorphism import _compatible as _reference_compatible
 from repro.matching.isomorphism import _order_pattern_nodes as _reference_order
 from repro.matching.isomorphism import has_matching as _reference_has_matching
@@ -75,7 +66,6 @@ from repro.matching.isomorphism import iter_matchings as _reference_iter_matchin
 
 __all__ = [
     "MatchEngine",
-    "compiled_available",
     "get_engine",
     "set_match_cache_size",
     "warm_match_indices",
@@ -192,32 +182,6 @@ class _PatternIndex:
             ordered_set.add(chosen)
             remaining.discard(chosen)
         return ordered
-
-
-def _kernel_inputs(
-    index: _PatternIndex, view: SparseGraphView
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat arrays for :mod:`repro.matching.compiled`'s counting kernel.
-
-    Stacks the candidate masks in the VF2++ search order and encodes the
-    pattern's adjacency as an edge-code matrix (``-1`` = non-adjacent)
-    between ordered positions — together with the view's dense adjacency
-    code matrix this is everything the kernel's exact compatibility check
-    needs.  Cheap to build (patterns are <= a handful of nodes), so it is
-    rebuilt per query rather than memoised.
-    """
-    order = index.search_order()
-    masks = np.stack([index.masks[node] for node in order])
-    size = len(order)
-    pattern_adj = np.full((size, size), -1, dtype=np.int64)
-    for i, u in enumerate(order):
-        for j in range(i):
-            v = order[j]
-            if v in index.adj[u]:
-                code = index.pattern_edge_code(u, v)
-                pattern_adj[i, j] = code
-                pattern_adj[j, i] = code
-    return masks, pattern_adj, view.adjacency_code_matrix()
 
 
 def _iter_row_mappings(
@@ -372,10 +336,6 @@ class MatchEngine:
         self._memo: LRUCache = LRUCache(capacity)
         self._lock = threading.Lock()
         self.use_prefilters = True
-        # Route order-insensitive counting queries through the numba kernel
-        # when it actually compiled (the [perf] extra); tests force this off
-        # to exercise the interpreted search explicitly.
-        self.use_compiled = True
         self.small_graph_cutoff = SMALL_GRAPH_NODES
 
     # ------------------------------------------------------------------
@@ -466,9 +426,6 @@ class MatchEngine:
             prepared = self._prepare(pattern, graph)
             if prepared is None:
                 result = False
-            elif self.use_compiled and compiled_available():
-                view, index = prepared
-                result = compiled_count(*_kernel_inputs(index, view), 1) > 0
             else:
                 view, index = prepared
                 result = (
@@ -497,10 +454,6 @@ class MatchEngine:
             prepared = self._prepare(pattern, graph)
             if prepared is None:
                 result = 0
-            elif self.use_compiled and compiled_available():
-                view, index = prepared
-                cap = -1 if limit is None else limit
-                result = compiled_count(*_kernel_inputs(index, view), cap)
             else:
                 view, index = prepared
                 result = sum(1 for _ in _iter_row_mappings(index, view, max_matchings=limit))

@@ -119,12 +119,8 @@ def fidelity_report(model: GNNClassifier, explanations: Sequence[ExplanationSubg
         }
     kept_graphs = [explanation.subgraph() for explanation in explanations]
     residual_graphs = [explanation.residual() for explanation in explanations]
-    if sparse_enabled() and len(explanations) >= 2:
-        kept_labels = model.predict_batch(kept_graphs)
-        residual_labels = model.predict_batch(residual_graphs)
-    else:
-        kept_labels = [model.predict(graph) for graph in kept_graphs]
-        residual_labels = [model.predict(graph) for graph in residual_graphs]
+    kept_labels = model.predict_many(kept_graphs)
+    residual_labels = model.predict_many(residual_graphs)
     consistent = 0
     counterfactual = 0
     for slot, explanation in enumerate(explanations):

@@ -54,29 +54,29 @@ def _post(base: str, path: str, body: dict) -> dict:
 
 class TestReadEndpoints:
     def test_health(self, live_server):
-        payload = _get(live_server, "/health")
+        payload = _get(live_server, "/v1/health")
         assert payload["status"] == "ok"
         assert payload["dataset"] == "MUT"
 
     def test_algorithms(self, live_server):
-        names = _get(live_server, "/algorithms")["algorithms"]
+        names = _get(live_server, "/v1/algorithms")["algorithms"]
         assert "approx" in names and "gnnexplainer" in names
 
     def test_schema_endpoint_serves_the_published_schema(self, live_server):
-        assert _get(live_server, "/schema") == json.loads(
+        assert _get(live_server, "/v1/schema") == json.loads(
             json.dumps(explanation_schema())
         )
 
     def test_unknown_endpoint_is_404(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(live_server, "/nope")
+            _get(live_server, "/v1/nope")
         assert excinfo.value.code == 404
 
 
 class TestExplainEndpoint:
     def test_explain_round_trip_validates_against_the_schema(self, live_server):
         payload = _post(
-            live_server, "/explain", {"algorithm": "approx", "max_nodes": 5, "limit": 3}
+            live_server, "/v1/explain", {"algorithm": "approx", "max_nodes": 5, "limit": 3}
         )
         assert validate_against_schema(payload, explanation_schema()) == []
         assert payload["kind"] == "explanation_result"
@@ -84,19 +84,19 @@ class TestExplainEndpoint:
 
     def test_repeat_request_is_served_from_cache(self, live_server):
         body = {"algorithm": "approx", "max_nodes": 5, "limit": 3}
-        _post(live_server, "/explain", body)
-        second = _post(live_server, "/explain", body)
+        _post(live_server, "/v1/explain", body)
+        second = _post(live_server, "/v1/explain", body)
         assert second["payload"]["provenance"]["cache_hit"] is True
 
     def test_unknown_parameter_is_a_400(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(live_server, "/explain", {"algorithm": "approx", "bogus": 1})
+            _post(live_server, "/v1/explain", {"algorithm": "approx", "bogus": 1})
         assert excinfo.value.code == 400
         assert "bogus" in json.loads(excinfo.value.read())["error"]
 
     def test_unknown_algorithm_is_a_400_with_suggestions(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(live_server, "/explain", {"algorithm": "magic"})
+            _post(live_server, "/v1/explain", {"algorithm": "magic"})
         assert excinfo.value.code == 400
         assert "approx" in json.loads(excinfo.value.read())["error"]
 
@@ -105,38 +105,38 @@ class TestQueryEndpoints:
     @pytest.fixture(autouse=True)
     def _ensure_a_view(self, live_server):
         self.result = _post(
-            live_server, "/explain", {"algorithm": "approx", "max_nodes": 5, "limit": 3}
+            live_server, "/v1/explain", {"algorithm": "approx", "max_nodes": 5, "limit": 3}
         )
 
     def test_views_listing_carries_provenance(self, live_server):
-        views = _get(live_server, "/views")["views"]
+        views = _get(live_server, "/v1/views")["views"]
         assert views
         assert all("config_fingerprint" in view for view in views)
 
     def test_query_summary(self, live_server):
-        summary = _get(live_server, "/query/summary")["summary"]
+        summary = _get(live_server, "/v1/query/summary")["summary"]
         label = str(self.result["payload"]["provenance"]["label"])
         assert label in summary
 
     def test_query_witness_for_graph(self, live_server):
         graph_id = self.result["payload"]["view"]["subgraphs"][0]["source_graph_id"]
-        payload = _get(live_server, f"/query/graph/{graph_id}")
+        payload = _get(live_server, f"/v1/query/graph/{graph_id}")
         assert payload["graph_id"] == graph_id
         assert payload["witness"]["nodes"]
 
     def test_query_witness_missing_graph_is_404(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(live_server, "/query/graph/999999")
+            _get(live_server, "/v1/query/graph/999999")
         assert excinfo.value.code == 404
 
     def test_query_non_integer_graph_id_is_400(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(live_server, "/query/graph/abc")
+            _get(live_server, "/v1/query/graph/abc")
         assert excinfo.value.code == 400
 
     def test_query_label_report(self, live_server):
         label = self.result["payload"]["provenance"]["label"]
-        payload = _get(live_server, f"/query/label/{label}")
+        payload = _get(live_server, f"/v1/query/label/{label}")
         assert payload["label"] == label
         assert "fidelity" in payload["report"]
 
@@ -174,7 +174,7 @@ class TestIngestEndpoint:
         graph_payload = source.graphs[8].to_dict()
         graph_payload["graph_id"] = None  # let the database assign a stable id
 
-        added = _post(base, "/ingest", {"graph": graph_payload, "label": 1})
+        added = _post(base, "/v1/ingest", {"graph": graph_payload, "label": 1})
         assert added["op"] == "ingest"
         assert added["num_graphs"] == 9
         assert added["maintained"] is True
@@ -182,12 +182,12 @@ class TestIngestEndpoint:
         graph_id = added["graph_id"]
 
         relabelled = _post(
-            base, "/ingest", {"op": "relabel", "graph_id": graph_id, "label": 0}
+            base, "/v1/ingest", {"op": "relabel", "graph_id": graph_id, "label": 0}
         )
         assert relabelled["op"] == "relabel"
         assert relabelled["database_version"] == added["database_version"] + 1
 
-        removed = _post(base, "/ingest", {"op": "remove", "graph_id": graph_id})
+        removed = _post(base, "/v1/ingest", {"op": "remove", "graph_id": graph_id})
         assert removed["op"] == "remove"
         assert removed["num_graphs"] == 8
 
@@ -195,27 +195,27 @@ class TestIngestEndpoint:
         base, service, source = mutable_server
         graph_payload = source.graphs[9].to_dict()
         graph_payload["graph_id"] = None
-        added = _post(base, "/ingest", {"graph": graph_payload, "label": 1})
+        added = _post(base, "/v1/ingest", {"graph": graph_payload, "label": 1})
         label = added["refreshed_labels"][0]
-        explained = _post(base, "/explain", {"algorithm": "stream", "label": label})
+        explained = _post(base, "/v1/explain", {"algorithm": "stream", "label": label})
         assert explained["payload"]["provenance"]["num_graphs"] == added["num_graphs"]
 
     def test_unknown_op_rejected(self, mutable_server):
         base, _, _ = mutable_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(base, "/ingest", {"op": "truncate"})
+            _post(base, "/v1/ingest", {"op": "truncate"})
         assert excinfo.value.code == 400
 
     def test_add_without_graph_rejected(self, mutable_server):
         base, _, _ = mutable_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(base, "/ingest", {"label": 1})
+            _post(base, "/v1/ingest", {"label": 1})
         assert excinfo.value.code == 400
 
     def test_unknown_parameter_rejected(self, mutable_server):
         base, _, _ = mutable_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(base, "/ingest", {"op": "remove", "graph_id": 1, "force": True})
+            _post(base, "/v1/ingest", {"op": "remove", "graph_id": 1, "force": True})
         assert excinfo.value.code == 400
 
 
@@ -225,7 +225,7 @@ def _get_with_headers(base: str, path: str):
 
 
 class TestVersionedSurface:
-    """The /v1 prefix is canonical; unversioned paths are deprecated aliases."""
+    """Every route lives under /v1; nothing answers outside it."""
 
     def test_v1_health_reports_the_api_version(self, live_server):
         payload, headers = _get_with_headers(live_server, "/v1/health")
@@ -233,33 +233,26 @@ class TestVersionedSurface:
         assert payload["api_version"] == "v1"
         assert payload["read_only"] is False
         assert "database_version" in payload
-        assert "Deprecation" not in headers
-
-    def test_unversioned_alias_answers_with_a_deprecation_header(self, live_server):
-        payload, headers = _get_with_headers(live_server, "/health")
-        assert payload["status"] == "ok"  # same response body ...
-        assert headers.get("Deprecation") == "true"  # ... but marked deprecated
-        assert headers.get("Link") == '</v1/health>; rel="successor-version"'
 
     def test_every_get_route_exists_under_v1(self, live_server):
         for path in ("/v1/algorithms", "/v1/schema", "/v1/views", "/v1/query/summary"):
-            payload, headers = _get_with_headers(live_server, path)
-            assert "Deprecation" not in headers, path
+            payload, _headers = _get_with_headers(live_server, path)
             assert payload, path
 
     def test_v1_explain_round_trip(self, live_server):
         payload = _post(live_server, "/v1/explain", {"algorithm": "approx", "max_nodes": 5, "limit": 3})
         assert payload["kind"] == "explanation_result"
 
-    def test_unversioned_post_alias_still_works(self, live_server):
-        request = urllib.request.Request(
-            f"{live_server}/explain",
-            data=json.dumps({"algorithm": "approx", "max_nodes": 5, "limit": 3}).encode(),
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=300) as response:
-            assert response.headers.get("Deprecation") == "true"
-            assert json.loads(response.read())["kind"] == "explanation_result"
+    def test_unversioned_get_is_404(self, live_server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(live_server, "/health")
+        assert excinfo.value.code == 404
+        assert "/v1" in json.loads(excinfo.value.read())["error"]
+
+    def test_unversioned_post_is_404(self, live_server):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(live_server, "/explain", {"algorithm": "approx", "max_nodes": 5})
+        assert excinfo.value.code == 404
 
     def test_unknown_v1_endpoint_is_404(self, live_server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -1,9 +1,31 @@
 """Unit tests for the GVEX configuration."""
 
+import json
+
 import pytest
 
 from repro.core import Configuration, CoverageBound
 from repro.exceptions import ConfigurationError
+
+# One variant per explainer-visible knob; each must get its own fingerprint.
+KNOB_VARIANTS = [
+    Configuration(theta=0.2),
+    Configuration(gamma=0.9),
+    Configuration(radius=0.5),
+    Configuration(seed=99),
+    Configuration(min_check_size=4),
+    Configuration(max_pattern_size=3),
+    Configuration(diversity_hops=2),
+    Configuration(match_cache_size=64),
+    Configuration().with_default_bound(0, 9),
+    Configuration().with_bound(1, 0, 5),
+]
+
+SAMPLED_VARIANTS = [
+    Configuration(objective="sampled"),
+    Configuration(objective="sampled", sample_budget=64, epsilon=0.3, delta=0.2),
+    Configuration(objective="sampled", sample_threshold=32).with_bound(2, 1, 6),
+]
 
 
 class TestCoverageBound:
@@ -97,9 +119,12 @@ class TestValidationMessages:
         with pytest.raises(ConfigurationError, match="radius.*non-negative"):
             Configuration(radius=-1.0)
 
-    def test_stream_batching_validated(self):
-        with pytest.raises(ConfigurationError, match="stream_batching"):
-            Configuration(stream_batching="sometimes")
+    @pytest.mark.parametrize("knob", ["selection_strategy", "stream_batching"])
+    def test_retired_knobs_are_rejected(self, knob):
+        # Each computation has one production path now; the knobs that used
+        # to pick between two equivalent loops no longer exist.
+        with pytest.raises(TypeError, match=knob):
+            Configuration(**{knob: "off"})
 
     def test_default_bound_type_checked(self):
         with pytest.raises(ConfigurationError, match="default_bound.*CoverageBound"):
@@ -127,32 +152,41 @@ class TestFingerprint:
 
     def test_every_knob_changes_the_fingerprint(self):
         base = Configuration().fingerprint()
-        variants = [
-            Configuration(theta=0.2),
-            Configuration(gamma=0.9),
-            Configuration(radius=0.5),
-            Configuration(seed=99),
-            Configuration(min_check_size=4),
-            Configuration(max_pattern_size=3),
-            Configuration(diversity_hops=2),
-            Configuration(selection_strategy="eager"),
-            Configuration(stream_batching="off"),
-            Configuration(match_cache_size=64),
-            Configuration().with_default_bound(0, 9),
-            Configuration().with_bound(1, 0, 5),
-        ]
-        fingerprints = {variant.fingerprint() for variant in variants}
+        fingerprints = {variant.fingerprint() for variant in KNOB_VARIANTS}
         assert base not in fingerprints
-        assert len(fingerprints) == len(variants)
+        assert len(fingerprints) == len(KNOB_VARIANTS)
 
     def test_fingerprint_is_stable_across_processes(self):
-        # Hard-coded reference: the fingerprint must never silently change,
-        # or every persisted cache entry would be orphaned.
+        # Hard-coded references: a fingerprint must never silently change, or
+        # every persisted cache entry, WAL config payload and shard bootstrap
+        # keyed by it would be orphaned.
         import subprocess
         import sys
 
-        code = "from repro.core.config import Configuration; print(Configuration().fingerprint())"
+        code = (
+            "from repro.core.config import Configuration; "
+            "print(Configuration().fingerprint()); "
+            "print(Configuration().with_default_bound(0, 8).fingerprint()); "
+            "print(Configuration(objective='sampled').fingerprint())"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert result.stdout.strip() == Configuration().fingerprint()
+        assert result.stdout.split() == [
+            "6d357ece825d4579",
+            "3dcfc0f78fcd5183",
+            "f92dd46e31bc3021",
+        ]
+
+    @pytest.mark.parametrize(
+        "config",
+        [Configuration()] + KNOB_VARIANTS + SAMPLED_VARIANTS,
+        ids=lambda config: config.fingerprint(),
+    )
+    def test_from_canonical_round_trips_the_fingerprint(self, config):
+        """The inverse shard workers and replicas rebuild configs with."""
+        payload = json.loads(json.dumps(config.canonical_dict()))
+        rebuilt = Configuration.from_canonical(payload)
+        assert rebuilt.fingerprint() == config.fingerprint()
+        assert rebuilt.objective == config.objective
+        assert rebuilt.coverage_bounds == config.coverage_bounds

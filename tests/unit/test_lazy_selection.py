@@ -1,10 +1,11 @@
 """Lazy-greedy (CELF) selection: equivalence with the eager reference loops.
 
-The CELF engine must be *output-identical* to the eager greedy loops — same
-explanation node sets, same explainability — across tier-1 datasets, seeds,
-and both the sparse and the legacy backend (the ``REPRO_SPARSE_BACKEND``
-toggle).  These tests pin that contract, plus the incremental coverage state
-and the bounded label-probability memo the engine is built on.
+The CELF engine must be *output-identical* to the eager greedy loops of
+:mod:`repro.core.oracles` — same explanation node sets, same explainability
+— across tier-1 datasets, seeds, and both the sparse and the legacy backend
+(the ``REPRO_SPARSE_BACKEND`` toggle).  These tests pin that contract, plus
+the incremental coverage state and the bounded label-probability memo the
+engine is built on.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core import Configuration, GraphAnalysis, LRUCache
 from repro.core.approx import ApproxGVEX
+from repro.core.oracles import ReferenceApproxGVEX, ReferenceStreamGVEX
 from repro.core.streaming import StreamGVEX
 from repro.core.selection import lazy_greedy_select
 from repro.datasets import load_dataset
@@ -66,9 +68,7 @@ class TestLazyEagerEquivalence:
         label = model.predict(database[0])
         with sparse_backend(sparse):
             lazy = ApproxGVEX(model, config).explain_label(database.graphs, label)
-            eager = ApproxGVEX(
-                model, replace(config, selection_strategy="eager")
-            ).explain_label(database.graphs, label)
+            eager = ReferenceApproxGVEX(model, config).explain_label(database.graphs, label)
         assert _view_fingerprint(lazy)[0] == _view_fingerprint(eager)[0]
         assert lazy.explainability == eager.explainability
 
@@ -81,9 +81,7 @@ class TestLazyEagerEquivalence:
         label = model.predict(database[0])
         with sparse_backend(sparse):
             lazy = ApproxGVEX(model, config).explain_label(database.graphs, label)
-            eager = ApproxGVEX(
-                model, replace(config, selection_strategy="eager")
-            ).explain_label(database.graphs, label)
+            eager = ReferenceApproxGVEX(model, config).explain_label(database.graphs, label)
         assert _view_fingerprint(lazy)[0] == _view_fingerprint(eager)[0]
         assert lazy.explainability == eager.explainability
 
@@ -98,9 +96,9 @@ class TestLazyEagerEquivalence:
             lazy = StreamGVEX(model, config, batch_size=4).explain_label(
                 database.graphs, label
             )
-            eager = StreamGVEX(
-                model, replace(config, selection_strategy="eager"), batch_size=4
-            ).explain_label(database.graphs, label)
+            eager = ReferenceStreamGVEX(model, config, batch_size=4).explain_label(
+                database.graphs, label
+            )
         assert _view_fingerprint(lazy)[0] == _view_fingerprint(eager)[0]
         assert lazy.explainability == eager.explainability
 
@@ -112,9 +110,7 @@ class TestLazyEagerEquivalence:
         config = Configuration(theta=0.08, verification_mode=mode).with_default_bound(0, 6)
         label = model.predict(database[0])
         lazy = ApproxGVEX(model, config).explain_label(database.graphs, label)
-        eager = ApproxGVEX(
-            model, replace(config, selection_strategy="eager")
-        ).explain_label(database.graphs, label)
+        eager = ReferenceApproxGVEX(model, config).explain_label(database.graphs, label)
         assert _view_fingerprint(lazy)[0] == _view_fingerprint(eager)[0]
 
     def test_cross_backend_views_identical(self):

@@ -1,6 +1,7 @@
 """Unit tests for the indexed pattern-matching engine (repro.matching.engine)."""
 
 import gc
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.graphs import Graph, GraphPattern
 from repro.graphs.sparse import sparse_backend
 from repro.matching import isomorphism as reference
 from repro.matching.engine import (
+    SMALL_GRAPH_NODES,
     MatchEngine,
     get_engine,
     has_matching,
@@ -131,6 +133,60 @@ class TestEngineCorrectness:
         big = path_pattern(["A"] * 10)
         assert not engine.has_matching(big, graph)
         assert engine.count_matchings(big, graph) == 0
+
+
+def random_typed_graph(rng: random.Random, num_nodes: int, edge_probability: float) -> Graph:
+    graph = Graph()
+    for node in range(num_nodes):
+        graph.add_node(node, rng.choice(["A", "B", "C"]))
+    for u in range(num_nodes):
+        for v in range(u + 1, num_nodes):
+            if rng.random() < edge_probability:
+                graph.add_edge(u, v, rng.choice(["x", "y"]))
+    return graph
+
+
+class TestRandomGraphs:
+    """The interpreted masked search against the reference matcher.
+
+    Every graph is above ``SMALL_GRAPH_NODES``, so the default engine runs
+    its own indexed search instead of delegating to the reference.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_counts_match_reference_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        engine = MatchEngine()
+        matched = 0
+        for _ in range(30):
+            graph = random_typed_graph(rng, rng.randint(26, 36), rng.uniform(0.05, 0.2))
+            assert graph.num_nodes() > SMALL_GRAPH_NODES
+            pattern = GraphPattern.from_graph(random_typed_graph(rng, rng.randint(1, 4), 0.6))
+            expected = reference.count_matchings(pattern, graph)
+            assert engine.count_matchings(pattern, graph) == expected
+            cap = rng.randint(1, 5)
+            assert engine.count_matchings(pattern, graph, limit=cap) == min(expected, cap)
+            assert engine.has_matching(pattern, graph) == reference.has_matching(pattern, graph)
+            matched += expected > 0
+        assert matched > 0  # the fuzz must exercise non-trivial matches
+
+    def test_cap_zero_counts_nothing(self):
+        rng = random.Random(1)
+        graph = random_typed_graph(rng, 26, 0.3)
+        pattern = GraphPattern.from_graph(random_typed_graph(rng, 2, 1.0))
+        assert reference.count_matchings(pattern, graph) > 0
+        assert MatchEngine().count_matchings(pattern, graph, limit=0) == 0
+
+    def test_disconnected_pattern(self):
+        rng = random.Random(2)
+        graph = random_typed_graph(rng, 28, 0.15)
+        isolated = Graph()
+        isolated.add_node(0, "A")
+        isolated.add_node(1, "B")  # no edge: disconnected pattern
+        pattern = GraphPattern.from_graph(isolated)
+        expected = reference.count_matchings(pattern, graph)
+        assert expected > 0
+        assert MatchEngine().count_matchings(pattern, graph) == expected
 
 
 class TestEngineMemo:

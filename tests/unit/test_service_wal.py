@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ExplanationService
-from repro.api.replication import config_from_canonical, view_signature
+from repro.api.replication import view_signature
 from repro.core import Configuration
 from repro.exceptions import ExplanationError, ReplicationGapError
 from repro.graphs import Graph, GraphDatabase
@@ -197,6 +197,6 @@ class TestReplicationSnapshot:
             for name, array in want_layer.items():
                 assert np.array_equal(np.asarray(got_layer[name]), array)
 
-        config = config_from_canonical(payload["config"])
+        config = Configuration.from_canonical(payload["config"])
         assert config.fingerprint() == service.config.fingerprint()
         service.close()

@@ -1,22 +1,24 @@
-"""Batched stream swaps vs the per-node oracle (PR 7 tentpole identity).
+"""Batched stream swaps vs the per-node reference pass.
 
-``Configuration.stream_batching`` selects between ``StreamGVEX``'s batched
-per-arriving-batch path (primed VpExtend verdicts, swap-first IncUpdateVS,
-short-circuit novelty probes) and the paper-literal per-node loop.  The two
-must produce *identical* views — same node sets, same patterns, same
-explainability — on every input; these tests pin that across datasets,
-stream seeds, backends and both ``ViewMaintainer`` label sources.
+``StreamGVEX`` processes each arriving batch in one go: primed VpExtend
+verdicts, swap-first IncUpdateVS and short-circuit novelty probes.
+:class:`~repro.core.oracles.ReferenceStreamGVEX` runs the paper-literal
+per-node loop.  The two must produce *identical* views — same node sets,
+same patterns, same explainability — on every input; these tests pin that
+across stream seeds, both backends and both ``ViewMaintainer`` label
+sources.
 """
-
-from dataclasses import replace
 
 import pytest
 
 from repro.core import Configuration
 from repro.core.maintenance import ViewMaintainer
+from repro.core.oracles import ReferenceStreamGVEX
 from repro.core.streaming import StreamGVEX
 from repro.graphs.database import GraphDatabase
 from repro.graphs.sparse import sparse_backend
+
+CONFIG = Configuration(theta=0.08).with_default_bound(0, 8)
 
 
 def _view_signature(view) -> tuple:
@@ -28,8 +30,8 @@ def _view_signature(view) -> tuple:
     )
 
 
-def _stream_signatures(model, database, config, seed) -> list[tuple]:
-    explainer = StreamGVEX(model, config, batch_size=5, seed=seed)
+def _stream_signatures(explainer_class, model, database, seed) -> list[tuple]:
+    explainer = explainer_class(model, CONFIG, batch_size=5, seed=seed)
     labels = sorted({model.predict(graph) for graph in database.graphs})
     return [
         _view_signature(explainer.explain_label(database.graphs, label))
@@ -39,32 +41,20 @@ def _stream_signatures(model, database, config, seed) -> list[tuple]:
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_batched_equals_per_node_stream(trained_mut_model, mut_database, seed):
-    base = Configuration(theta=0.08).with_default_bound(0, 8)
-    signatures = {
-        mode: _stream_signatures(
-            trained_mut_model,
-            mut_database,
-            replace(base, stream_batching=mode),
-            seed,
-        )
-        for mode in ("on", "off")
-    }
-    assert signatures["on"] == signatures["off"]
+    batched = _stream_signatures(StreamGVEX, trained_mut_model, mut_database, seed)
+    per_node = _stream_signatures(ReferenceStreamGVEX, trained_mut_model, mut_database, seed)
+    assert batched == per_node
 
 
-def test_auto_matches_forced_modes_on_both_backends(trained_mut_model, mut_database):
-    """``auto`` resolves to the batched path iff the sparse backend is on —
-    and whichever path it resolves to, the views are the same."""
-    base = Configuration(theta=0.08).with_default_bound(0, 8)
+def test_batched_equals_per_node_on_both_backends(trained_mut_model, mut_database):
     results = {}
     for backend in (True, False):
         with sparse_backend(backend):
-            for mode in ("auto", "off"):
-                config = replace(base, stream_batching=mode)
-                results[(backend, mode)] = _stream_signatures(
-                    trained_mut_model, mut_database, config, seed=0
+            for explainer_class in (StreamGVEX, ReferenceStreamGVEX):
+                results[(backend, explainer_class)] = _stream_signatures(
+                    explainer_class, trained_mut_model, mut_database, seed=0
                 )
-    reference = results[(True, "auto")]
+    reference = results[(True, StreamGVEX)]
     assert all(value == reference for value in results.values())
 
 
@@ -72,24 +62,27 @@ def test_auto_matches_forced_modes_on_both_backends(trained_mut_model, mut_datab
 def test_maintainer_views_identical_across_batching(
     trained_mut_model, mut_database, label_source
 ):
-    base = Configuration(theta=0.08).with_default_bound(0, 8)
+    """Views repaired delta by delta equal a reference-pass recompute."""
     graphs = mut_database.graphs
     labels = mut_database.labels
     split = len(graphs) - 4
-    state = {}
-    for mode in ("on", "off"):
-        config = replace(base, stream_batching=mode)
-        database = GraphDatabase(f"mut-{mode}")
-        for graph, label in zip(graphs[:split], labels[:split]):
-            database.add_graph(graph.copy(), label)
-        maintainer = ViewMaintainer(
-            trained_mut_model, config, batch_size=5, label_source=label_source
-        ).attach(database)
-        for graph, label in zip(graphs[split:], labels[split:]):
-            database.add_graph(graph.copy(), label)
-        state[mode] = {
-            label: _view_signature(maintainer.view_for(label))
-            for label in maintainer.maintained_labels()
-        }
-        maintainer.detach()
-    assert state["on"] == state["off"]
+    database = GraphDatabase("mut-live")
+    for graph, label in zip(graphs[:split], labels[:split]):
+        database.add_graph(graph.copy(), label)
+    live = ViewMaintainer(
+        trained_mut_model, CONFIG, batch_size=5, label_source=label_source
+    ).attach(database)
+    for graph, label in zip(graphs[split:], labels[split:]):
+        database.add_graph(graph.copy(), label)
+    live.detach()
+
+    recompute = ViewMaintainer(
+        processor=ReferenceStreamGVEX(trained_mut_model, CONFIG, batch_size=5),
+        label_source=label_source,
+    ).attach(database)
+    recompute.detach()
+    assert live.maintained_labels() == recompute.maintained_labels()
+    for label in live.maintained_labels():
+        assert _view_signature(live.view_for(label)) == _view_signature(
+            recompute.view_for(label)
+        )
