@@ -5,7 +5,7 @@ Compares a fresh ``bench_hot_paths.py`` JSON report against the committed
 ``benchmarks/baseline.json`` and exits non-zero when any guarded path's
 *speedup over the reference implementation* regressed by more than the
 tolerance (default 25%).  Guarded paths: the influence and ``EVerify``
-micro-benchmarks (vectorized vs reference backend), the pattern-matching and
+micro-benchmarks (vectorized vs the reference kernels), the pattern-matching and
 mining front-end micro-benchmarks (indexed match engine / incremental
 canonical keys vs the reference matcher and per-set re-canonicalisation),
 and the end-to-end ``explain_label`` runtimes (ApproxGVEX: lazy CELF +
@@ -99,7 +99,7 @@ HOT_PATH_METRICS = tuple(
 IDENTITY_FLAGS = {
     "influence_speedup_min": (
         "views_identical",
-        "vectorized and reference backends no longer produce identical views",
+        "ApproxGVEX and ReferenceApproxGVEX no longer produce identical views",
     ),
     "explain_label_speedup_min": (
         "lazy_eager_identical",

@@ -1,11 +1,11 @@
-"""Efficiency guard: the vectorized sparse backend vs the reference paths.
+"""Efficiency guard: the production paths vs their oracles.
 
 Runs a scaled-down configuration of :mod:`benchmarks.bench_hot_paths` (the
 full configuration runs in the CI benchmark-smoke job and is what the
 committed ``baseline.json`` records) and asserts
 
-* both backends produce *identical* explanation views — node sets,
-  explainability, and fidelity numbers;
+* ApproxGVEX and its oracle produce *identical* explanation views — node
+  sets and explainability;
 * the lazy (CELF) and eager selection strategies produce *identical*
   explanation node sets end to end;
 * the indexed match engine and the incremental mining front-end produce
@@ -32,7 +32,7 @@ from benchmarks.conftest import RESULTS_DIR, run_once
 # Perf-ratio keys asserted below, with the shared-runner bound for each.
 # Identity flags are strict (no retry); the ratios get ONE retry when the
 # first run misses a bound — a whole-suite session sharing a noisy VM can
-# deschedule the sparse arm of the smallest micro-benchmarks (observed
+# deschedule the production arm of the smallest micro-benchmarks (observed
 # matching ratios from 0.5x to 2.4x on the same tree), and the committed
 # full-scale baseline + CI guard already police real regressions.
 _RATIO_BOUNDS = {
@@ -83,7 +83,7 @@ def test_vectorized_hot_paths(benchmark):
     (RESULTS_DIR / "vectorized_hot_paths.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    assert report["views_identical"], "sparse and legacy backends must produce identical views"
+    assert report["views_identical"], "ApproxGVEX and its oracle must produce identical views"
     assert report["lazy_eager_identical"], (
         "lazy (CELF) and eager selection must produce identical node sets"
     )

@@ -26,7 +26,6 @@ from repro import Configuration, GNNClassifier, Trainer, load_dataset
 from repro.core.quality import GraphAnalysis
 from repro.core.sampling import SampledGraphAnalysis, build_analysis
 from repro.core.selection import lazy_greedy_select
-from repro.graphs.sparse import sparse_backend
 
 BUDGET = 10
 
@@ -68,35 +67,34 @@ def main() -> None:
 
     # 2. Estimator A/B -------------------------------------------------
     print(f"\nexact vs sampled (budget={BUDGET} greedy selection per graph):")
-    with sparse_backend(True):
-        for graph in database.graphs:
-            graph.sparse_view()  # warm the cached operator for both arms
+    for graph in database.graphs:
+        graph.sparse_view()  # warm the cached operator for both arms
 
-            start = time.perf_counter()
-            exact = GraphAnalysis(model, graph, exact_config)
-            exact_set = greedy(exact)
-            exact_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        exact = GraphAnalysis(model, graph, exact_config)
+        exact_set = greedy(exact)
+        exact_seconds = time.perf_counter() - start
 
-            start = time.perf_counter()
-            sampled = build_analysis(model, graph, sampled_config)
-            sampled_set = greedy(sampled)
-            sampled_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        sampled = build_analysis(model, graph, sampled_config)
+        sampled_set = greedy(sampled)
+        sampled_seconds = time.perf_counter() - start
 
-            assert isinstance(sampled, SampledGraphAnalysis)
-            quality = exact.explainability(sampled_set) / exact.explainability(exact_set)
-            info = sampled.estimator_info()
+        assert isinstance(sampled, SampledGraphAnalysis)
+        quality = exact.explainability(sampled_set) / exact.explainability(exact_set)
+        info = sampled.estimator_info()
 
-            # 3. The declared bound, checked against ground truth ------
-            estimate = sampled.influence_fraction(sampled_set)
-            truth = exact.influence_score(sampled_set) / graph.num_nodes()
-            assert abs(estimate - truth) <= sampled.achieved_epsilon
+        # 3. The declared bound, checked against ground truth ------
+        estimate = sampled.influence_fraction(sampled_set)
+        truth = exact.influence_score(sampled_set) / graph.num_nodes()
+        assert abs(estimate - truth) <= sampled.achieved_epsilon
 
-            print(f"  graph {graph.graph_id} (n={graph.num_nodes()}): "
-                  f"speedup {exact_seconds / sampled_seconds:4.1f}x  "
-                  f"quality {quality:.3f}  "
-                  f"sample {info['sample_size']}/{info['population']}  "
-                  f"achieved_eps {info['achieved_epsilon']:.3f}  "
-                  f"|influence err| {abs(estimate - truth):.3f}")
+        print(f"  graph {graph.graph_id} (n={graph.num_nodes()}): "
+              f"speedup {exact_seconds / sampled_seconds:4.1f}x  "
+              f"quality {quality:.3f}  "
+              f"sample {info['sample_size']}/{info['population']}  "
+              f"achieved_eps {info['achieved_epsilon']:.3f}  "
+              f"|influence err| {abs(estimate - truth):.3f}")
 
     # 4. Estimator provenance on service results -----------------------
     from repro.api import ExplanationService

@@ -46,7 +46,6 @@ from repro.exceptions import (
 )
 from repro.graphs.database import DatabaseDelta, GraphDatabase
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
 from repro.api.store import ViewStore
 
 __all__ = ["ExplanationService", "ServiceQuery"]
@@ -408,7 +407,7 @@ class ExplanationService:
                 config_fingerprint=request.effective_config().fingerprint(),
                 request_fingerprint=request.fingerprint(),
                 runtime_seconds=runtime,
-                backend="sparse" if sparse_enabled() else "legacy",
+                backend="sparse",
                 num_graphs=len(graphs),
                 dataset=self.dataset,
                 estimator=estimator_summary(request.effective_config(), graphs),
@@ -487,7 +486,7 @@ class ExplanationService:
                         config_fingerprint=request.effective_config().fingerprint(),
                         request_fingerprint=request.fingerprint(),
                         runtime_seconds=elapsed / max(len(pending), 1),
-                        backend="sparse" if sparse_enabled() else "legacy",
+                        backend="sparse",
                         num_graphs=len(self.database),
                         dataset=self.dataset,
                         estimator=estimator_summary(
@@ -744,7 +743,7 @@ class ExplanationService:
             "labels_explained": labels_explained,
             "train_accuracy": self.train_accuracy,
             "test_accuracy": self.test_accuracy,
-            "backend": "sparse" if sparse_enabled() else "legacy",
+            "backend": "sparse",
             "cache": with_hit_rate(self.store.stats()),
             "match_engine_cache": with_hit_rate(get_engine().stats()),
             "label_probability_cache": cache_aggregate("label_probability"),
@@ -976,7 +975,7 @@ class ExplanationService:
                     config_fingerprint=request.effective_config().fingerprint(),
                     request_fingerprint=request.fingerprint(),
                     runtime_seconds=time.perf_counter() - start,
-                    backend="sparse" if sparse_enabled() else "legacy",
+                    backend="sparse",
                     num_graphs=len(self.database),
                     dataset=self.dataset,
                     estimator=estimator_summary(

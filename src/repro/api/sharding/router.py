@@ -14,7 +14,11 @@ deterministic :class:`ShardPlan`:
 * **everything else** fans per-shard explanations out and merges them with
   the same :func:`merge_views` discipline the parallel runner uses (a
   single-shard deployment skips the merge and is byte-identical to the
-  single-process service for every request type).
+  single-process service for every request type).  At any shard count an
+  approx view holds, for every graph, the same explanation node set as the
+  single-process service (each graph is explained on its own); only the
+  pattern set differs, because each shard summarises its own subgraphs and
+  the merge unions the per-shard patterns.
 
 Failure semantics: one outstanding request per worker (a per-shard mutex),
 a request timeout, and on timeout or a broken pipe the worker is respawned
@@ -76,7 +80,6 @@ from repro.core.sampling import estimator_summary
 from repro.exceptions import ExplanationError, PoisonRequestError, ShardDownError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
 
 __all__ = ["ShardRouter", "ShardSupervisor"]
 
@@ -738,7 +741,7 @@ class ShardRouter:
                 config_fingerprint=request.effective_config().fingerprint(),
                 request_fingerprint=request.fingerprint(),
                 runtime_seconds=runtime,
-                backend="sparse" if sparse_enabled() else "legacy",
+                backend="sparse",
                 num_graphs=num_graphs,
                 dataset=self.dataset,
                 estimator=estimator_summary(
@@ -1087,7 +1090,7 @@ class ShardRouter:
             "labels_explained": labels_explained,
             "train_accuracy": self.train_accuracy,
             "test_accuracy": self.test_accuracy,
-            "backend": "sparse" if sparse_enabled() else "legacy",
+            "backend": "sparse",
             "shard_backend": self.backend,
             "num_shards": self.num_shards,
             "shard_sizes": self.plan.shard_sizes(self.database),

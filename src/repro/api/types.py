@@ -164,6 +164,8 @@ class Provenance:
     config_fingerprint: str
     request_fingerprint: str
     runtime_seconds: float
+    #: Always ``"sparse"`` when produced; the schema also accepts
+    #: ``"legacy"`` so stored, WAL'd and replicated payloads keep loading.
     backend: str
     num_graphs: int
     dataset: str | None = None

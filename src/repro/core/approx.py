@@ -35,7 +35,6 @@ from repro.exceptions import ExplanationError
 from repro.gnn.models import GNNClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
 from repro.graphs.subgraph import induced_subgraph
 from repro.matching.engine import apply_config_cache_size
 from repro.mining.candidates import PatternGenerator
@@ -48,8 +47,8 @@ class SubsetProbabilities:
 
     The greedy tie-breakers and the counterfactual swap loop probe many
     overlapping subsets.  The memo is an LRU capped by the configuration, so
-    memory stays flat on large graphs; with the sparse backend each miss is
-    a matrix slice plus a forward pass rather than a materialised subgraph.
+    memory stays flat on large graphs; each miss is a matrix slice plus a
+    forward pass rather than a materialised subgraph.
     """
 
     def __init__(self, model: GNNClassifier, graph: Graph, label: int, capacity: int) -> None:
@@ -82,7 +81,7 @@ class SubsetProbabilities:
         missing = [
             nodes for nodes in dict.fromkeys(node_sets) if nodes and nodes not in self.cache
         ]
-        if len(missing) < 2 or not sparse_enabled():
+        if len(missing) < 2:
             return
         probabilities = self.model.predict_proba_subsets(self.graph, missing)
         for nodes, row in zip(missing, probabilities):
@@ -119,6 +118,10 @@ class ApproxGVEX:
         # The match memo is process-wide; apply this configuration's cap
         # (a REPRO_MATCH_CACHE_SIZE operator override takes precedence).
         apply_config_cache_size(self.config.match_cache_size)
+
+    def _build_analysis(self, graph: Graph) -> GraphAnalysis:
+        """Influence/diversity structures of one graph (Algorithm 1 line 2)."""
+        return build_analysis(self.model, graph, self.config)
 
     # ------------------------------------------------------------------
     # VpExtend (Procedure 2)
@@ -180,7 +183,7 @@ class ApproxGVEX:
         if label is None:
             label = self.model.predict(graph)
         bound = self.config.bound_for(label)
-        analysis = build_analysis(self.model, graph, self.config)
+        analysis = self._build_analysis(graph)
         probabilities = SubsetProbabilities(
             self.model, graph, label, self.config.label_probability_cache_size
         )
@@ -405,7 +408,7 @@ class ApproxGVEX:
         if explanation is None:
             # Fall back to the highest-influence node so the caller always
             # receives a (possibly tiny) explanation to score.
-            analysis = build_analysis(self.model, graph, self.config)
+            analysis = self._build_analysis(graph)
             best = max(graph.nodes, key=lambda node: analysis.explainability({node}))
             explanation = ExplanationSubgraph(
                 source_graph=graph,

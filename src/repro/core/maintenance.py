@@ -135,6 +135,10 @@ class NodeStreamProcessor:
         # (a REPRO_MATCH_CACHE_SIZE operator override takes precedence).
         apply_config_cache_size(self.config.match_cache_size)
 
+    def _build_analysis(self, graph: Graph) -> GraphAnalysis:
+        """Influence/diversity structures of one (partially seen) graph."""
+        return build_analysis(self.model, graph, self.config)
+
     # ------------------------------------------------------------------
     # VpExtend (same contract as in ApproxGVEX)
     # ------------------------------------------------------------------
@@ -343,7 +347,7 @@ class NodeStreamProcessor:
             seen.extend(batch)
             seen_graph = induced_subgraph(graph, seen)
             # IncEVerify: refresh influence/diversity on the seen fraction.
-            analysis = build_analysis(self.model, seen_graph, self.config)
+            analysis = self._build_analysis(seen_graph)
             selected, patterns = self._process_batch(
                 batch, selected, backup, patterns, analysis, matcher,
                 seen_graph, graph, label, bound.upper,
@@ -373,7 +377,7 @@ class NodeStreamProcessor:
         # A stream that saw every node ends on the graph itself, so reuse its
         # last analysis.  Count nodes: ``node_order`` may be partial or repeat.
         if seen_graph.num_nodes() != graph.num_nodes():
-            analysis = build_analysis(self.model, graph, self.config)
+            analysis = self._build_analysis(graph)
         subgraph = ExplanationSubgraph(
             source_graph=graph,
             nodes=selected,

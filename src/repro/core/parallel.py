@@ -94,16 +94,14 @@ def _run_shard(
     """Explain one shard of graphs for all labels."""
     database = GraphDatabase()
     database.extend(Graph.from_dict(payload) for payload in graph_payloads)
-    from repro.graphs.sparse import sparse_enabled
     from repro.matching.engine import warm_match_indices
 
-    if sparse_enabled():
-        # Prebuild the CSR views so the first probe of every graph does not
-        # pay the snapshot cost inside the timed explanation loop, and the
-        # match-engine indices (degree / neighbour-signature / edge tables)
-        # so this worker's first coverage query backtracks immediately.
-        database.warm_sparse_cache()
-        warm_match_indices(database.graphs)
+    # Prebuild the CSR views so the first probe of every graph does not pay
+    # the snapshot cost inside the timed explanation loop, and the
+    # match-engine indices (degree / neighbour-signature / edge tables) so
+    # this worker's first coverage query backtracks immediately.
+    database.warm_sparse_cache()
+    warm_match_indices(database.graphs)
     results = []
     for label in labels:
         # Passing the database (a graph sequence) rather than a bare list

@@ -18,7 +18,6 @@ from repro.core.config import Configuration
 from repro.gnn.influence import normalized_influence_matrix
 from repro.gnn.models import GNNClassifier
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
 
 __all__ = ["CoverageState", "GraphAnalysis", "pack_rows", "unpack_bits", "word_popcounts", "view_explainability"]
 
@@ -87,8 +86,8 @@ class CoverageState:
     influenced-node set (Eq. 5) and the union of embedding neighbourhoods of
     the influenced nodes (Eq. 6).  Both are monotone submodular, so a greedy
     loop never needs to re-derive them from scratch: this object keeps the
-    covered-node boolean masks and the integer coverage counts of the
-    committed seed set, answers a candidate's exact marginal gain as a
+    covered-node masks (as uint64 words) and the integer coverage counts of
+    the committed seed set, answers a candidate's exact marginal gain as a
     popcount of *newly* covered rows, and folds a pick in with
     :meth:`commit` in time proportional to the rows that actually changed.
 
@@ -96,41 +95,26 @@ class CoverageState:
     :meth:`GraphAnalysis.marginal_gain` (score-after minus score-before with
     integer counts), so they are bit-identical to the eager loop's values —
     the property the CELF selection engine relies on for identical output.
+    The boolean-mask form is :class:`repro.core.oracles.ReferenceCoverageState`.
     """
 
-    __slots__ = ("_analysis", "_packed", "_covered", "_neigh_covered", "_influence", "_diversity", "_bounds")
+    __slots__ = ("_analysis", "_covered", "_neigh_covered", "_influence", "_diversity", "_bounds")
 
     def __init__(self, analysis: "GraphAnalysis", selected: Iterable[int] = ()) -> None:
         self._analysis = analysis
-        total = len(analysis.node_list)
         positions = analysis._positions(selected)
-        # Under the sparse backend the covered masks live as uint64 words and
-        # every count is a popcount; the boolean path below is the oracle.
-        self._packed = sparse_enabled() and total > 0
-        if self._packed:
-            influence_words = analysis._packed_influence()
-            if positions:
-                self._covered = _or_reduce_rows(influence_words, np.asarray(positions))
-            else:
-                self._covered = np.zeros(influence_words.shape[1], dtype=np.uint64)
-            self._influence = _popcount(self._covered)
-            if self._influence:
-                rows = np.flatnonzero(unpack_bits(self._covered, total))
-                self._neigh_covered = _or_reduce_rows(analysis._packed_neighbourhood(), rows)
-            else:
-                self._neigh_covered = np.zeros(influence_words.shape[1], dtype=np.uint64)
-            self._diversity = _popcount(self._neigh_covered)
+        influence_words = analysis._packed_influence()
+        if positions:
+            self._covered = _or_reduce_rows(influence_words, np.asarray(positions))
         else:
-            if positions:
-                self._covered = analysis._influence_mask[positions].any(axis=0)
-            else:
-                self._covered = np.zeros(total, dtype=bool)
-            if self._covered.any():
-                self._neigh_covered = analysis._neighbourhood_mask[self._covered].any(axis=0)
-            else:
-                self._neigh_covered = np.zeros(total, dtype=bool)
-            self._influence = int(self._covered.sum())
-            self._diversity = int(self._neigh_covered.sum())
+            self._covered = np.zeros(influence_words.shape[1], dtype=np.uint64)
+        self._influence = _popcount(self._covered)
+        if self._influence:
+            rows = np.flatnonzero(unpack_bits(self._covered, len(analysis.node_list)))
+            self._neigh_covered = _or_reduce_rows(analysis._packed_neighbourhood(), rows)
+        else:
+            self._neigh_covered = np.zeros(influence_words.shape[1], dtype=np.uint64)
+        self._diversity = _popcount(self._neigh_covered)
         # Last exact gain computed per node — a valid stale upper bound on the
         # node's current gain because coverage gains only shrink as the
         # committed set grows (submodularity).
@@ -151,25 +135,22 @@ class CoverageState:
 
     def _delta_counts(self, position: int) -> tuple[int, int, np.ndarray]:
         analysis = self._analysis
-        if self._packed:
-            newly = analysis._packed_influence()[position] & ~self._covered
-            added = _popcount(newly)
-            new_influence = self._influence + added
-            if added:
-                rows = np.flatnonzero(unpack_bits(newly, len(analysis.node_list)))
-                neigh = _or_reduce_rows(analysis._packed_neighbourhood(), rows)
-                new_diversity = self._diversity + _popcount(neigh & ~self._neigh_covered)
-            else:
-                new_diversity = self._diversity
-            return new_influence, new_diversity, newly
-        newly = analysis._influence_mask[position] & ~self._covered
-        new_influence = self._influence + int(newly.sum())
-        if newly.any():
-            neigh = analysis._neighbourhood_mask[newly].any(axis=0)
-            new_diversity = self._diversity + int((neigh & ~self._neigh_covered).sum())
+        newly = analysis._packed_influence()[position] & ~self._covered
+        added = _popcount(newly)
+        new_influence = self._influence + added
+        if added:
+            rows = np.flatnonzero(unpack_bits(newly, len(analysis.node_list)))
+            neigh = _or_reduce_rows(analysis._packed_neighbourhood(), rows)
+            new_diversity = self._diversity + _popcount(neigh & ~self._neigh_covered)
         else:
             new_diversity = self._diversity
         return new_influence, new_diversity, newly
+
+    def _fold(self, newly: np.ndarray) -> None:
+        """OR newly influenced rows and their neighbourhoods into the masks."""
+        rows = np.flatnonzero(unpack_bits(newly, len(self._analysis.node_list)))
+        self._covered |= newly
+        self._neigh_covered |= _or_reduce_rows(self._analysis._packed_neighbourhood(), rows)
 
     # ------------------------------------------------------------------
     # gains
@@ -189,7 +170,7 @@ class CoverageState:
         return value
 
     def batch_gains(self, candidates: Sequence[int]) -> np.ndarray:
-        """Exact marginal gains of every candidate (one boolean matrix pass).
+        """Exact marginal gains of every candidate (one vectorized pass).
 
         Values are element-wise identical to :meth:`gain`.  Stale bounds are
         *not* recorded here — the CELF engine keeps its own heap of stale
@@ -201,36 +182,23 @@ class CoverageState:
         gains = np.zeros(len(candidates))
         if total == 0 or not len(candidates):
             return gains
-        known = [
-            (slot, analysis._index[candidate])
-            for slot, candidate in enumerate(candidates)
-            if candidate in analysis._index
-        ]
-        if not known:
+        slots, positions = analysis._known(candidates)
+        if not slots.size:
             return gains
-        slots = np.array([slot for slot, _ in known])
-        positions = np.array([position for _, position in known])
-        if self._packed:
-            # Newly-covered words per candidate (ANDN), influence counts as
-            # popcounts; the diversity delta only needs the neighbourhood
-            # rows of the *newly* influenced nodes OR'd against the covered
-            # union, so candidates that add nothing are free.
-            new_words = analysis._packed_influence()[positions] & ~self._covered[None, :]
-            influence_counts = self._influence + word_popcounts(new_words).sum(axis=1)
-            neighbourhood = analysis._packed_neighbourhood()
-            diversity_counts = np.full(len(known), self._diversity, dtype=np.int64)
-            for row in range(len(known)):
-                words = new_words[row]
-                if words.any():
-                    rows = np.flatnonzero(unpack_bits(words, total))
-                    union = _or_reduce_rows(neighbourhood, rows)
-                    diversity_counts[row] = self._diversity + _popcount(union & ~self._neigh_covered)
-            scores = (influence_counts + analysis.config.gamma * diversity_counts) / total
-            gains[slots] = scores - self.explainability()
-            return gains
-        influenced = self._covered[None, :] | analysis._influence_mask[positions]
-        influence_counts = influenced.sum(axis=1)
-        diversity_counts = (influenced @ analysis._neighbourhood_float > 0).sum(axis=1)
+        # Newly-covered words per candidate (ANDN), influence counts as
+        # popcounts; the diversity delta only needs the neighbourhood rows
+        # of the *newly* influenced nodes OR'd against the covered union, so
+        # candidates that add nothing are free.
+        new_words = analysis._packed_influence()[positions] & ~self._covered[None, :]
+        influence_counts = self._influence + word_popcounts(new_words).sum(axis=1)
+        neighbourhood = analysis._packed_neighbourhood()
+        diversity_counts = np.full(slots.size, self._diversity, dtype=np.int64)
+        for row in range(slots.size):
+            words = new_words[row]
+            if words.any():
+                rows = np.flatnonzero(unpack_bits(words, total))
+                union = _or_reduce_rows(neighbourhood, rows)
+                diversity_counts[row] = self._diversity + _popcount(union & ~self._neigh_covered)
         scores = (influence_counts + analysis.config.gamma * diversity_counts) / total
         gains[slots] = scores - self.explainability()
         return gains
@@ -260,14 +228,8 @@ class CoverageState:
             return 0.0
         before = self.explainability()
         new_influence, new_diversity, newly = self._delta_counts(position)
-        if self._packed:
-            if new_influence != self._influence:
-                rows = np.flatnonzero(unpack_bits(newly, len(self._analysis.node_list)))
-                self._covered |= newly
-                self._neigh_covered |= _or_reduce_rows(self._analysis._packed_neighbourhood(), rows)
-        elif newly.any():
-            self._covered |= newly
-            self._neigh_covered |= self._analysis._neighbourhood_mask[newly].any(axis=0)
+        if new_influence != self._influence:
+            self._fold(newly)
         self._influence = new_influence
         self._diversity = new_diversity
         self._bounds.pop(node, None)
@@ -284,6 +246,9 @@ class GraphAnalysis:
         ``theta`` / ``radius`` / ``gamma`` thresholds the scores use.
     """
 
+    #: The incremental coverage state :meth:`reset_coverage` builds.
+    coverage_state: type = CoverageState
+
     def __init__(self, model: GNNClassifier, graph: Graph, config: Configuration) -> None:
         self.graph = graph
         self.config = config
@@ -298,8 +263,7 @@ class GraphAnalysis:
         self._neighbourhood_float_cache: np.ndarray | None = None
         self._packed_influence_cache: np.ndarray | None = None
         self._packed_neighbourhood_cache: np.ndarray | None = None
-        # Memo of Eq.-2 scores per queried seed set (packed path only): the
-        # streaming swap loop re-evaluates the same selected/reduced subsets
+        # Memo of Eq.-2 scores per queried seed set: the streaming swap loop re-evaluates the same selected/reduced subsets
         # for every arriving node, so this turns most of IncUpdateVS's
         # objective calls into dict hits.
         self._subset_scores: dict[frozenset[int], float] = {}
@@ -378,9 +342,7 @@ class GraphAnalysis:
         positions = self._positions(seed_nodes)
         if not positions:
             return 0
-        if sparse_enabled():
-            return self._packed_counts(positions)[0]
-        return int(self._influence_mask[positions].any(axis=0).sum())
+        return self._packed_counts(positions)[0]
 
     def diversity_score(self, seed_nodes: Iterable[int]) -> int:
         """``D(Vs)``: size of the union of embedding neighbourhoods of the
@@ -388,13 +350,7 @@ class GraphAnalysis:
         positions = self._positions(seed_nodes)
         if not positions:
             return 0
-        if sparse_enabled():
-            return self._packed_counts(positions)[1]
-        influenced = self._influence_mask[positions].any(axis=0)
-        if not influenced.any():
-            return 0
-        neighbourhood = self._neighbourhood_mask[influenced].any(axis=0)
-        return int(neighbourhood.sum())
+        return self._packed_counts(positions)[1]
 
     # ------------------------------------------------------------------
     # the explainability objective
@@ -404,24 +360,19 @@ class GraphAnalysis:
         total_nodes = len(self.node_list)
         if total_nodes == 0:
             return 0.0
-        seeds = list(seed_nodes)
-        if sparse_enabled():
-            key = frozenset(seeds)
-            cached = self._subset_scores.get(key)
-            if cached is None:
-                positions = self._positions(seeds)
-                if positions:
-                    influence, diversity = self._packed_counts(positions)
-                else:
-                    influence = diversity = 0
-                cached = (influence + self.config.gamma * diversity) / total_nodes
-                if len(self._subset_scores) >= 8192:
-                    self._subset_scores.clear()
-                self._subset_scores[key] = cached
-            return cached
-        influence = self.influence_score(seeds)
-        diversity = self.diversity_score(seeds)
-        return (influence + self.config.gamma * diversity) / total_nodes
+        key = frozenset(seed_nodes)
+        cached = self._subset_scores.get(key)
+        if cached is None:
+            positions = self._positions(key)
+            if positions:
+                influence, diversity = self._packed_counts(positions)
+            else:
+                influence = diversity = 0
+            cached = (influence + self.config.gamma * diversity) / total_nodes
+            if len(self._subset_scores) >= 8192:
+                self._subset_scores.clear()
+            self._subset_scores[key] = cached
+        return cached
 
     def exerted_influence(self, node: int) -> float:
         """Total normalised influence ``sum_v I2(node, v)`` the node exerts."""
@@ -441,42 +392,33 @@ class GraphAnalysis:
         candidates are evaluated as one boolean matrix and the diversity term
         as one matrix product, instead of two full objective evaluations per
         candidate.  The influence/diversity counts are integers, so the gains
-        are bit-identical to the per-candidate path (which the legacy backend
-        still runs, keeping the A/B benchmark faithful to the original greedy
-        loop).
+        are bit-identical to the per-candidate loop of
+        :class:`repro.core.oracles.ReferenceGraphAnalysis`.
         """
+        positions = self._positions(selected)
+        if positions:
+            return self._mask_gains(self._influence_mask[positions].any(axis=0), candidates)
+        return self._mask_gains(np.zeros(len(self.node_list), dtype=bool), candidates)
+
+    def _known(self, candidates: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``(slots, positions)`` of the candidates that are graph nodes."""
+        known = [(slot, self._index[node]) for slot, node in enumerate(candidates) if node in self._index]
+        return (
+            np.array([slot for slot, _ in known], dtype=np.intp),
+            np.array([position for _, position in known], dtype=np.intp),
+        )
+
+    def _mask_gains(self, covered: np.ndarray, candidates: Sequence[int]) -> np.ndarray:
+        """Gains of each candidate over the boolean influenced-node mask ``covered``."""
         total_nodes = len(self.node_list)
         gains = np.zeros(len(candidates))
-        if total_nodes == 0 or not len(candidates):
+        slots, positions = self._known(candidates)
+        if total_nodes == 0 or not slots.size:
             return gains
-        if not sparse_enabled():
-            selected_set = set(selected)
-            for slot, candidate in enumerate(candidates):
-                gains[slot] = self.marginal_gain(selected_set, candidate)
-            return gains
-        selected_positions = self._positions(selected)
-        if selected_positions:
-            base_mask = self._influence_mask[selected_positions].any(axis=0)
-            base_influence = int(base_mask.sum())
-            base_diversity = (
-                int((base_mask @ self._neighbourhood_float > 0).sum()) if base_influence else 0
-            )
-        else:
-            base_mask = np.zeros(total_nodes, dtype=bool)
-            base_influence = 0
-            base_diversity = 0
+        base_influence = int(covered.sum())
+        base_diversity = int((covered @ self._neighbourhood_float > 0).sum()) if base_influence else 0
         base_score = (base_influence + self.config.gamma * base_diversity) / total_nodes
-
-        known = [
-            (slot, self._index[candidate])
-            for slot, candidate in enumerate(candidates)
-            if candidate in self._index
-        ]
-        if not known:
-            return gains
-        slots = np.array([slot for slot, _ in known])
-        positions = np.array([position for _, position in known])
-        influenced = base_mask[None, :] | self._influence_mask[positions]
+        influenced = covered[None, :] | self._influence_mask[positions]
         influence_counts = influenced.sum(axis=1)
         diversity_counts = (influenced @ self._neighbourhood_float > 0).sum(axis=1)
         scores = (influence_counts + self.config.gamma * diversity_counts) / total_nodes
@@ -492,12 +434,12 @@ class GraphAnalysis:
         The returned state is also installed as the analysis's *current*
         coverage, which :meth:`commit` / :meth:`gain_upper_bound` act on.
         """
-        self._coverage = CoverageState(self, selected)
+        self._coverage = self.coverage_state(self, selected)
         return self._coverage
 
     def _current_coverage(self) -> CoverageState:
         if self._coverage is None:
-            self._coverage = CoverageState(self)
+            self._coverage = self.coverage_state(self)
         return self._coverage
 
     def commit(self, node: int) -> float:

@@ -55,10 +55,8 @@ explainer constructs analyses through):
 * otherwise — :class:`SampledGraphAnalysis`.
 
 The sampled path always uses the propagation influence estimator (the
-exact Jacobian has no per-column form) and always runs the packed uint64
-popcount kernels of :mod:`repro.core.quality`, independent of the
-``sparse_backend`` toggle — so sampled results are identical across
-backends by construction.
+exact Jacobian has no per-column form) and runs the packed uint64 popcount
+kernels of :mod:`repro.core.quality`; it has no separate reference form.
 """
 
 from __future__ import annotations
@@ -460,15 +458,9 @@ class SampledCoverageState:
         gains = np.zeros(len(candidates))
         if not len(candidates):
             return gains
-        known = [
-            (slot, analysis._index[candidate])
-            for slot, candidate in enumerate(candidates)
-            if candidate in analysis._index
-        ]
-        if not known:
+        slots, positions = analysis._known(candidates)
+        if not slots.size:
             return gains
-        slots = np.array([slot for slot, _ in known])
-        positions = np.array([position for _, position in known])
         gains[slots] = self._primary.batch_gains(positions)
         return gains
 
@@ -528,6 +520,8 @@ class SampledGraphAnalysis(GraphAnalysis):
     constructing this class directly bypasses the sub-threshold exactness
     guarantee.
     """
+
+    coverage_state = SampledCoverageState
 
     def __init__(
         self,
@@ -694,15 +688,9 @@ class SampledGraphAnalysis(GraphAnalysis):
             base_influence / self.sample_size
             + self.config.gamma * base_diversity / diversity_size
         )
-        known = [
-            (slot, self._index[candidate])
-            for slot, candidate in enumerate(candidates)
-            if candidate in self._index
-        ]
-        if not known:
+        slots, positions = self._known(candidates)
+        if not slots.size:
             return gains
-        slots = np.array([slot for slot, _ in known])
-        positions = np.array([position for _, position in known])
         influenced = base_mask[None, :] | mask[positions]
         influence_counts = influenced.sum(axis=1)
         diversity_counts = (influenced @ neigh_float > 0).sum(axis=1)
@@ -718,18 +706,6 @@ class SampledGraphAnalysis(GraphAnalysis):
         if self._neighbourhood_float_cache is None:
             self._neighbourhood_float_cache = self._witness_neigh_mask.astype(float)
         return self._neighbourhood_float_cache
-
-    # ------------------------------------------------------------------
-    # coverage state (CELF support)
-    # ------------------------------------------------------------------
-    def reset_coverage(self, selected: Iterable[int] = ()) -> SampledCoverageState:
-        self._coverage = SampledCoverageState(self, selected)
-        return self._coverage
-
-    def _current_coverage(self) -> SampledCoverageState:
-        if self._coverage is None:
-            self._coverage = SampledCoverageState(self)
-        return self._coverage
 
     # ------------------------------------------------------------------
     # bound verification support (tests / benchmarks)

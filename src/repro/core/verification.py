@@ -25,8 +25,7 @@ from repro.core.config import Configuration
 from repro.core.explanation import ExplanationSubgraph, ExplanationView
 from repro.gnn.models import GNNClassifier
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
-from repro.graphs.subgraph import induced_subgraph, remove_subgraph
+from repro.graphs.subgraph import remove_subgraph
 from repro.matching.coverage import pattern_set_covered_nodes
 
 __all__ = ["EVerify", "VerificationReport", "prime_vp_extend_probes", "verify_view"]
@@ -93,25 +92,24 @@ class EVerify:
         )
         self.inference_calls = 0
 
-    def _predict_nodes(self, graph: Graph, nodes: frozenset[int]) -> int:
+    def _labels(self, graph: Graph) -> dict[frozenset[int], int]:
+        """The memo of ``graph``'s current version (older versions dropped)."""
         entry = self._cache.get(graph)
         if entry is None or entry[0] != graph.version:
             entry = (graph.version, {})
             self._cache[graph] = entry
-        labels = entry[1]
-        cached = labels.get(nodes)
-        if cached is not None:
-            return cached
-        if sparse_enabled():
-            # Vectorized path: slice the candidate's feature/adjacency
-            # matrices straight out of the source graph's CSR cache instead
-            # of materialising an induced subgraph per probe.
-            label = self.model.predict_node_subset(graph, nodes)
-        else:
-            candidate = induced_subgraph(graph, nodes)
-            label = self.model.predict(candidate)
-        labels[nodes] = label
-        self.inference_calls += 1
+        return entry[1]
+
+    def _classify(self, graph: Graph, nodes: frozenset[int]) -> int:
+        """``M(G[nodes])``, sliced straight out of the graph's CSR cache."""
+        return self.model.predict_node_subset(graph, nodes)
+
+    def _predict_nodes(self, graph: Graph, nodes: frozenset[int]) -> int:
+        labels = self._labels(graph)
+        label = labels.get(nodes)
+        if label is None:
+            label = labels[nodes] = self._classify(graph, nodes)
+            self.inference_calls += 1
         return label
 
     def predict(self, graph: Graph) -> int:
@@ -127,16 +125,9 @@ class EVerify:
         inference instead of one per candidate.  Subsequent
         :meth:`is_consistent` / :meth:`is_counterfactual` calls hit the
         cache.  Returns the number of sets actually classified; a no-op
-        (sequential probes stay bit-faithful) when the sparse backend is
-        off or fewer than two sets are missing.
+        when fewer than two sets are missing.
         """
-        if not sparse_enabled():
-            return 0
-        entry = self._cache.get(graph)
-        if entry is None or entry[0] != graph.version:
-            entry = (graph.version, {})
-            self._cache[graph] = entry
-        labels = entry[1]
+        labels = self._labels(graph)
         missing = [nodes for nodes in dict.fromkeys(node_sets) if nodes and nodes not in labels]
         if len(missing) < 2:
             return 0

@@ -27,7 +27,6 @@ from repro.exceptions import ModelError
 from repro.gnn.models import GNNClassifier
 from repro.gnn.tensor_ops import relu_grad
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
 
 __all__ = [
     "influence_matrix",
@@ -62,45 +61,22 @@ def _layer_operator(layer, cache: dict, num_nodes: int) -> np.ndarray:
     return cache["adjacency"] + (1.0 + getattr(layer, "epsilon", 0.0)) * np.eye(num_nodes)
 
 
-def _jacobian_l1_reference(model: GNNClassifier, graph: Graph) -> np.ndarray:
-    """Reference einsum implementation (kept for the legacy backend A/B)."""
-    features = graph.feature_matrix(model.feature_dim)
-    propagation = model.propagation_matrix(graph)
-    num_nodes, feature_dim = features.shape
+def jacobian_l1_matrix(model: GNNClassifier, graph: Graph) -> np.ndarray:
+    """Exact (gate-linearised) pairwise L1 Jacobian norms ``I1[v, u]``.
 
-    # jac[v, i, u, j] = d hidden[v, i] / d features[u, j]
-    jac = np.zeros((num_nodes, feature_dim, num_nodes, feature_dim))
-    for u in range(num_nodes):
-        jac[u, :, u, :] = np.eye(feature_dim)
-
-    hidden = features
-    for layer in model.conv_layers:
-        hidden, cache = layer.forward(hidden, propagation)
-        weight = layer.params.get("weight")
-        if weight is None:
-            raise ModelError("exact influence is only implemented for GCN/GIN layers")
-        operator = _layer_operator(layer, cache, num_nodes)
-        # pre[v, i] = sum_w operator[v, w] sum_m hidden_prev[w, m] weight[m, i]
-        jac = np.einsum("vw,wmuj,mi->viuj", operator, jac, weight, optimize=True)
-        if layer.activation:
-            gates = relu_grad(cache["pre_activation"])
-            jac = jac * gates[:, :, None, None]
-
-    return np.abs(jac).sum(axis=(1, 3))
-
-
-def _jacobian_l1_batched(model: GNNClassifier, graph: Graph) -> np.ndarray:
-    """Batched-GEMM form of the same recurrence (the vectorized hot path).
-
-    The Jacobian tensor is kept flattened as ``jac[v, u*d0 + j, i] =
-    d hidden[v, i] / d features[u, j]``.  The channel axis is *last*, so
-    each layer after the first costs two large GEMMs over contiguous
-    memory: one contraction over the input channels and one propagation
-    pass over the neighbours.  The first layer needs no GEMM at all: the
-    input Jacobian is the identity, so layer one is the outer product
-    ``operator[v, u] * weight[j, i]``.  That is bit-identical to pushing
-    the identity through both products, which only adds exact zeros.
+    Batched-GEMM form of the layer recurrence.  The Jacobian tensor is kept
+    flattened as ``jac[v, u*d0 + j, i] = d hidden[v, i] / d features[u, j]``.
+    The channel axis is *last*, so each layer after the first costs two
+    large GEMMs over contiguous memory: one contraction over the input
+    channels and one propagation pass over the neighbours.  The first layer
+    needs no GEMM at all: the input Jacobian is the identity, so layer one
+    is the outer product ``operator[v, u] * weight[j, i]``.  That is
+    bit-identical to pushing the identity through both products, which only
+    adds exact zeros.  Tests check it against the einsum form,
+    :func:`repro.core.oracles.reference_jacobian_l1`.
     """
+    if graph.num_nodes() == 0:
+        return np.zeros((0, 0))
     view = graph.sparse_view()
     features = view.feature_matrix(model.feature_dim)
     propagation = model.propagation_matrix(graph)
@@ -130,15 +106,6 @@ def _jacobian_l1_batched(model: GNNClassifier, graph: Graph) -> np.ndarray:
 
     np.abs(jac, out=jac)
     return jac.reshape(num_nodes, num_nodes, feature_dim * jac.shape[2]).sum(axis=2)
-
-
-def jacobian_l1_matrix(model: GNNClassifier, graph: Graph) -> np.ndarray:
-    """Exact (gate-linearised) pairwise L1 Jacobian norms ``I1[v, u]``."""
-    if graph.num_nodes() == 0:
-        return np.zeros((0, 0))
-    if sparse_enabled():
-        return _jacobian_l1_batched(model, graph)
-    return _jacobian_l1_reference(model, graph)
 
 
 def influence_matrix(model: GNNClassifier, graph: Graph, method: str = "auto") -> np.ndarray:

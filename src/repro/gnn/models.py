@@ -21,7 +21,7 @@ from repro.gnn.layers import DenseLayer, GCNLayer, GINLayer, SAGELayer
 from repro.gnn.pooling import make_pooling
 from repro.gnn.tensor_ops import normalize_adjacency, softmax
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import BatchedGraphView, sparse_enabled
+from repro.graphs.sparse import BatchedGraphView
 
 __all__ = ["GNNClassifier"]
 
@@ -114,14 +114,13 @@ class GNNClassifier:
             layer.zero_grads()
 
     def _propagation_matrix(self, graph: Graph) -> np.ndarray:
-        if sparse_enabled():
-            # Reuse the view's cached operator when a snapshot exists —
-            # repeated forward passes over the same graph then skip the
-            # normalisation — but do not build a snapshot just for one
-            # forward (perturbation baselines predict on throwaway graphs).
-            view = graph.sparse_view_if_cached()
-            if view is not None:
-                return view.propagation(self.conv)
+        # Reuse the view's cached operator when a snapshot exists — repeated
+        # forward passes over the same graph then skip the normalisation —
+        # but do not build a snapshot just for one forward (perturbation
+        # baselines predict on throwaway graphs).
+        view = graph.sparse_view_if_cached()
+        if view is not None:
+            return view.propagation(self.conv)
         adjacency = graph.adjacency_matrix()
         if self.conv == "gcn":
             return normalize_adjacency(adjacency)
@@ -133,7 +132,7 @@ class GNNClassifier:
             pooled = np.zeros(self.hidden_dim)
             logits, head_cache = self.head.forward(pooled)
             return logits, {"empty": True, "head_cache": head_cache}
-        view = graph.sparse_view_if_cached() if sparse_enabled() else None
+        view = graph.sparse_view_if_cached()
         if view is not None:
             # Read-only borrow of the cached matrix; the layers never write
             # to their inputs, so the per-forward copy can be skipped.
@@ -227,10 +226,10 @@ class GNNClassifier:
     def predict_many(self, graphs: Sequence[Graph]) -> list[int]:
         """Labels for a sequence of graphs.
 
-        One batched pass (:meth:`predict_batch`) when the sparse backend is
-        on and there is more than one graph; one forward per graph otherwise.
+        One batched pass (:meth:`predict_batch`) when there is more than one
+        graph; one forward otherwise.
         """
-        if sparse_enabled() and len(graphs) > 1:
+        if len(graphs) > 1:
             return self.predict_batch(graphs)
         return [self.predict(graph) for graph in graphs]
 
@@ -283,15 +282,11 @@ class GNNClassifier:
         Stacks every graph into one block-diagonal CSR operator
         (``GraphDatabase.batched_view`` / ``BatchedGraphView``) so the label
         group pays one pass over the layers instead of one forward per graph.
-        Falls back to sequential inference when the sparse backend is off or
-        scipy is unavailable.
+        Falls back to sequential inference for small batches or when scipy is
+        unavailable.
         """
         graph_list = list(graphs)
-        if (
-            sparse_enabled()
-            and len(graph_list) > 1
-            and sum(graph.num_nodes() for graph in graph_list) >= _BATCH_MIN_ROWS
-        ):
+        if len(graph_list) > 1 and sum(graph.num_nodes() for graph in graph_list) >= _BATCH_MIN_ROWS:
             logits = self._batched_logits(self._batch_of(graphs))
             if logits is not None:
                 return logits
@@ -389,21 +384,12 @@ class GNNClassifier:
 
         Equivalent to ``predict(induced_subgraph(graph, nodes))`` but sliced
         directly out of the graph's cached feature/adjacency matrices — the
-        vectorized ``EVerify`` hot path.  Falls back to materialising the
-        subgraph when the sparse backend is disabled.
+        vectorized ``EVerify`` hot path.
         """
-        if not sparse_enabled():
-            from repro.graphs.subgraph import induced_subgraph
-
-            return self.predict(induced_subgraph(graph, nodes))
         return int(self._subset_logits(graph, nodes).argmax())
 
     def predict_proba_nodes(self, graph: Graph, nodes: Iterable[int]) -> np.ndarray:
         """Class probabilities of ``G[nodes]``, sliced from the cached view."""
-        if not sparse_enabled():
-            from repro.graphs.subgraph import induced_subgraph
-
-            return self.predict_proba(induced_subgraph(graph, nodes))
         return softmax(self._subset_logits(graph, nodes))
 
     def subsets_logits(self, graph: Graph, node_sets: Sequence[Iterable[int]]) -> np.ndarray:
@@ -412,14 +398,10 @@ class GNNClassifier:
         All subsets are sliced out of the graph's cached CSR view, stacked
         into one block-diagonal operator, and classified in a single
         message-passing pass — the ``EVerify`` batch-probe hot path.  Falls
-        back to sequential subset inference when scipy or the sparse backend
+        back to sequential subset inference for small batches or when scipy
         is unavailable.
         """
-        if (
-            sparse_enabled()
-            and len(node_sets) > 1
-            and sum(len(nodes) for nodes in node_sets) >= _BATCH_MIN_ROWS
-        ):
+        if len(node_sets) > 1 and sum(len(nodes) for nodes in node_sets) >= _BATCH_MIN_ROWS:
             view = graph.sparse_view()
             # One id -> row lookup over every set, then one segmented sort
             # and dedupe of the keys ``set * n + row``.
@@ -434,13 +416,7 @@ class GNNClassifier:
                 return logits
         if not node_sets:
             return np.zeros((0, self.num_classes))
-        if sparse_enabled():
-            return np.stack([self._subset_logits(graph, nodes) for nodes in node_sets])
-        from repro.graphs.subgraph import induced_subgraph
-
-        return np.stack(
-            [self.predict_logits(induced_subgraph(graph, nodes)) for nodes in node_sets]
-        )
+        return np.stack([self._subset_logits(graph, nodes) for nodes in node_sets])
 
     def predict_subsets(self, graph: Graph, node_sets: Sequence[Iterable[int]]) -> list[int]:
         """Labels of many node-induced subgraphs of one graph (one pass)."""

@@ -3,13 +3,7 @@
 from repro.graphs.database import DatabaseDelta, GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import GraphPattern
-from repro.graphs.sparse import (
-    BatchedGraphView,
-    SparseGraphView,
-    set_sparse_backend,
-    sparse_backend,
-    sparse_enabled,
-)
+from repro.graphs.sparse import BatchedGraphView, SparseGraphView
 from repro.graphs.subgraph import (
     connected_component_subgraphs,
     induced_subgraph,
@@ -24,9 +18,6 @@ __all__ = [
     "DatabaseDelta",
     "BatchedGraphView",
     "SparseGraphView",
-    "sparse_enabled",
-    "set_sparse_backend",
-    "sparse_backend",
     "induced_subgraph",
     "remove_subgraph",
     "khop_subgraph",

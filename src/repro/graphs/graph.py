@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import EdgeNotFoundError, GraphError, NodeNotFoundError
-from repro.graphs.sparse import SparseGraphView, sparse_enabled
+from repro.graphs.sparse import SparseGraphView
 
 __all__ = ["Graph"]
 
@@ -263,10 +263,9 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric adjacency matrix aligned with :meth:`node_index`."""
-        if sparse_enabled():
-            view = self.sparse_view_if_cached()
-            if view is not None:
-                return view.dense_adjacency().copy()
+        view = self.sparse_view_if_cached()
+        if view is not None:
+            return view.dense_adjacency().copy()
         n = self.num_nodes()
         index = self.node_index()
         matrix = np.zeros((n, n), dtype=float)
@@ -283,10 +282,9 @@ class Graph:
         datasets without node features).  All feature vectors must share one
         dimensionality.
         """
-        if sparse_enabled():
-            view = self.sparse_view_if_cached()
-            if view is not None:
-                return view.feature_matrix(feature_dim).copy()
+        view = self.sparse_view_if_cached()
+        if view is not None:
+            return view.feature_matrix(feature_dim).copy()
         dims = {vec.shape[0] for vec in self._node_features.values()}
         if len(dims) > 1:
             raise GraphError(f"inconsistent feature dimensions: {sorted(dims)}")

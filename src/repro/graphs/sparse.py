@@ -14,18 +14,14 @@ Views are immutable snapshots: :meth:`Graph.sparse_view` compares the view's
 ``add_node`` / ``add_edge`` / ``remove_*`` call, so incremental algorithms keep
 working unchanged.
 
-The whole backend can be switched off (``REPRO_SPARSE_BACKEND=0`` or
-:func:`set_sparse_backend` / the :func:`sparse_backend` context manager), which
-routes every caller back to the original per-node implementations.  The
-efficiency benchmarks use exactly this toggle to A/B the two code paths on
+The per-node references for these kernels are in :mod:`repro.core.oracles`;
+the identity tests and the efficiency benchmarks compare the two on
 identical inputs.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,39 +36,7 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graphs.graph import Graph
 
-__all__ = [
-    "BatchedGraphView",
-    "SparseGraphView",
-    "sparse_enabled",
-    "set_sparse_backend",
-    "sparse_backend",
-]
-
-_OFF_VALUES = {"0", "false", "off", "no"}
-_enabled = os.environ.get("REPRO_SPARSE_BACKEND", "1").strip().lower() not in _OFF_VALUES
-
-
-def sparse_enabled() -> bool:
-    """True when the vectorized sparse backend is active (the default)."""
-    return _enabled
-
-
-def set_sparse_backend(enabled: bool) -> bool:
-    """Enable/disable the sparse backend globally; returns the previous state."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def sparse_backend(enabled: bool):
-    """Context manager that temporarily forces the backend on or off."""
-    previous = set_sparse_backend(enabled)
-    try:
-        yield
-    finally:
-        set_sparse_backend(previous)
+__all__ = ["BatchedGraphView", "SparseGraphView"]
 
 
 class SparseGraphView:

@@ -8,11 +8,12 @@ The GVEX algorithms manipulate three kinds of derived graphs:
   ``M(G \\ Gs) != l``),
 * r-hop neighbourhood subgraphs (used by the incremental pattern generator).
 
-With the sparse backend enabled (the default), extraction runs against the
-graph's cached CSR view: edge selection is a vectorized mask over the flat
-edge arrays and BFS advances one whole frontier per hop, instead of the
-per-node/per-edge Python loops of the reference implementation.  Both paths
-produce identical graphs (same node order, types, shared feature arrays).
+Extraction runs against the graph's cached CSR view: edge selection is a
+vectorized mask over the flat edge arrays and BFS advances one whole frontier
+per hop.  The per-node/per-edge references,
+:func:`repro.core.oracles.reference_induced_subgraph` /
+:func:`~repro.core.oracles.reference_khop_subgraph`, produce identical
+graphs (same node order, types, shared feature arrays).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
 
 __all__ = [
     "induced_subgraph",
@@ -69,16 +69,7 @@ def induced_subgraph(graph: Graph, nodes: Iterable[int], graph_id: int | None = 
     for node in node_set:
         if not graph.has_node(node):
             raise NodeNotFoundError(node)
-    if sparse_enabled():
-        return _induced_from_view(graph, node_set, graph_id)
-    sub = Graph(graph_id=graph.graph_id if graph_id is None else graph_id)
-    for node in graph.nodes:
-        if node in node_set:
-            sub.add_node(node, graph.node_type(node), graph.node_features(node))
-    for u, v in graph.edges:
-        if u in node_set and v in node_set:
-            sub.add_edge(u, v, graph.edge_type(u, v))
-    return sub
+    return _induced_from_view(graph, node_set, graph_id)
 
 
 def remove_subgraph(graph: Graph, subgraph_nodes: Iterable[int]) -> Graph:
@@ -94,21 +85,9 @@ def khop_subgraph(graph: Graph, center: int, hops: int) -> Graph:
         raise NodeNotFoundError(center)
     if hops < 0:
         raise ValueError("hops must be non-negative")
-    if sparse_enabled():
-        view = graph.sparse_view()
-        rows = view.khop_rows(view.index[center], hops)
-        return _induced_from_view(graph, {view.node_ids[row] for row in rows}, None)
-    frontier = {center}
-    seen = {center}
-    for _ in range(hops):
-        next_frontier: set[int] = set()
-        for node in frontier:
-            next_frontier |= graph.neighbors(node) - seen
-        seen |= next_frontier
-        frontier = next_frontier
-        if not frontier:
-            break
-    return induced_subgraph(graph, seen)
+    view = graph.sparse_view()
+    rows = view.khop_rows(view.index[center], hops)
+    return _induced_from_view(graph, {view.node_ids[row] for row in rows}, None)
 
 
 def connected_component_subgraphs(graph: Graph) -> list[Graph]:

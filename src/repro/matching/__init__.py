@@ -2,12 +2,11 @@
 
 The package-level ``has_matching`` / ``count_matchings`` /
 ``matched_node_sets`` / ``match_many`` route through the indexed, memoising
-:mod:`repro.matching.engine` when the sparse backend is enabled (the default)
-and fall back to the reference matcher in
-:mod:`repro.matching.isomorphism` under the ``REPRO_SPARSE_BACKEND=0`` /
-:func:`repro.graphs.sparse.sparse_backend` toggle.  ``find_matchings`` /
-``iter_matchings`` expose full matching *functions* and always run the
-reference search (the engine memoises derived results, not raw mappings).
+:mod:`repro.matching.engine`; the reference matcher in
+:mod:`repro.matching.isomorphism` is what tests check them against.
+``find_matchings`` / ``iter_matchings`` expose full matching *functions* and
+always run the reference search (the engine memoises derived results, not
+raw mappings).
 """
 
 from repro.matching.coverage import (

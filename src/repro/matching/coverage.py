@@ -4,7 +4,9 @@ A pattern ``P`` *covers* a node ``v`` (edge ``e``) of a graph when some
 matching function of ``P`` maps a pattern node (edge) onto it.  A pattern set
 covers a graph collection when every node is covered by at least one pattern.
 These predicates drive the view-verification constraint C1/C3 and the Psum
-summarisation objective.
+summarisation objective.  The plain matching-enumeration loops they are
+checked against are :func:`repro.core.oracles.reference_covered_nodes` /
+:func:`~repro.core.oracles.reference_covered_edges`.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import GraphPattern
-from repro.graphs.sparse import SparseGraphView, sparse_enabled
+from repro.graphs.sparse import SparseGraphView
 from repro.matching.engine import get_engine, type_histogram_deficit
-from repro.matching.isomorphism import iter_matchings
 
 __all__ = [
     "covered_nodes",
@@ -102,20 +103,13 @@ def _fast_covered_nodes(
 
 def covered_nodes(pattern: GraphPattern, graph: Graph, max_matchings: int | None = None) -> set[int]:
     """Graph nodes covered by at least one matching of ``pattern``."""
-    if sparse_enabled():
-        fast = _fast_covered_nodes(pattern, graph, max_matchings)
-        if fast is not None:
-            return fast
-        # Larger patterns (and capped small ones the closed forms defer on)
-        # go through the memoised, prefiltered match engine; capped queries
-        # replay the reference enumeration order so truncation is identical.
-        return get_engine().covered_nodes(pattern, graph, max_matchings=max_matchings)
-    covered: set[int] = set()
-    for mapping in iter_matchings(pattern, graph, max_matchings=max_matchings):
-        covered.update(mapping.values())
-        if len(covered) == graph.num_nodes():
-            break
-    return covered
+    fast = _fast_covered_nodes(pattern, graph, max_matchings)
+    if fast is not None:
+        return fast
+    # Larger patterns (and capped small ones the closed forms defer on) go
+    # through the memoised, prefiltered match engine; capped queries replay
+    # the reference enumeration order so truncation is identical.
+    return get_engine().covered_nodes(pattern, graph, max_matchings=max_matchings)
 
 
 def _fast_covered_edges(
@@ -153,19 +147,10 @@ def covered_edges(
     pattern: GraphPattern, graph: Graph, max_matchings: int | None = None
 ) -> set[tuple[int, int]]:
     """Graph edges covered by at least one matching of ``pattern``."""
-    if sparse_enabled():
-        fast = _fast_covered_edges(pattern, graph, max_matchings)
-        if fast is not None:
-            return fast
-        return get_engine().covered_edges(pattern, graph, max_matchings=max_matchings)
-    covered: set[tuple[int, int]] = set()
-    for mapping in iter_matchings(pattern, graph, max_matchings=max_matchings):
-        for u, v in pattern.edges:
-            a, b = mapping[u], mapping[v]
-            covered.add((a, b) if a <= b else (b, a))
-        if len(covered) == graph.num_edges():
-            break
-    return covered
+    fast = _fast_covered_edges(pattern, graph, max_matchings)
+    if fast is not None:
+        return fast
+    return get_engine().covered_edges(pattern, graph, max_matchings=max_matchings)
 
 
 def pattern_set_covered_nodes(

@@ -39,11 +39,9 @@ those calls cheap with three layers:
    result) is bit-identical to the reference.
 
 The module-level :func:`has_matching` / :func:`count_matchings` /
-:func:`matched_node_sets` / :func:`match_many` dispatchers route through the
-engine when the sparse backend is enabled (the default) and fall back to the
-reference matcher under ``REPRO_SPARSE_BACKEND=0`` /
-:func:`repro.graphs.sparse.sparse_backend` — the same A/B toggle every other
-vectorized path uses, which is how benchmarks and tests assert identity.
+:func:`matched_node_sets` / :func:`match_many` functions route through the
+shared engine.  Tests and benchmarks assert identity by calling the
+reference matcher in :mod:`repro.matching.isomorphism` directly.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import GraphPattern
-from repro.graphs.sparse import SparseGraphView, sparse_enabled
+from repro.graphs.sparse import SparseGraphView
 from repro.matching.isomorphism import _compatible as _reference_compatible
 from repro.matching.isomorphism import _order_pattern_nodes as _reference_order
 from repro.matching.isomorphism import has_matching as _reference_has_matching
@@ -647,7 +645,7 @@ class MatchEngine:
 
 
 # ----------------------------------------------------------------------
-# process-wide engine + dispatchers (A/B'd by the sparse-backend toggle)
+# process-wide engine + dispatchers
 # ----------------------------------------------------------------------
 _ENGINE: MatchEngine | None = None
 _ENGINE_LOCK = threading.Lock()
@@ -718,11 +716,8 @@ def warm_match_indices(graphs: Sequence[Graph]) -> int:
     the first matcher query pays no setup cost — the match-engine analogue
     of ``GraphDatabase.warm_sparse_cache``.  Graphs at or below the engine's
     small-graph cutoff are skipped (they run the reference search and never
-    consult these indices); returns the number of graphs actually warmed
-    (0 when the sparse backend is disabled).
+    consult these indices); returns the number of graphs actually warmed.
     """
-    if not sparse_enabled():
-        return 0
     cutoff = get_engine().small_graph_cutoff
     built = 0
     for graph in graphs:
@@ -739,33 +734,21 @@ def warm_match_indices(graphs: Sequence[Graph]) -> int:
 
 def has_matching(pattern: GraphPattern, graph: Graph) -> bool:
     """True when the pattern matches the graph at least once (engine-backed)."""
-    if sparse_enabled():
-        return get_engine().has_matching(pattern, graph)
-    return _reference_has_matching(pattern, graph)
+    return get_engine().has_matching(pattern, graph)
 
 
 def count_matchings(pattern: GraphPattern, graph: Graph, limit: int | None = None) -> int:
     """Number of matching functions (optionally capped at ``limit``)."""
-    if sparse_enabled():
-        return get_engine().count_matchings(pattern, graph, limit=limit)
-    from repro.matching.isomorphism import count_matchings as reference_count
-
-    return reference_count(pattern, graph, limit=limit)
+    return get_engine().count_matchings(pattern, graph, limit=limit)
 
 
 def matched_node_sets(
     pattern: GraphPattern, graph: Graph, max_matchings: int | None = None
 ) -> list[set[int]]:
     """Distinct sets of graph nodes covered by individual matchings."""
-    if sparse_enabled():
-        return get_engine().matched_node_sets(pattern, graph, max_matchings=max_matchings)
-    from repro.matching.isomorphism import matched_node_sets as reference_sets
-
-    return reference_sets(pattern, graph, max_matchings=max_matchings)
+    return get_engine().matched_node_sets(pattern, graph, max_matchings=max_matchings)
 
 
 def match_many(pattern: GraphPattern, graphs: Sequence[Graph]) -> list[bool]:
     """``has_matching`` across a graph collection, batch-prefiltered."""
-    if sparse_enabled():
-        return get_engine().match_many(pattern, list(graphs))
-    return [_reference_has_matching(pattern, graph) for graph in graphs]
+    return get_engine().match_many(pattern, list(graphs))

@@ -6,11 +6,11 @@ was necessary).  Fidelity- measures the drop when the input is *replaced by*
 the explanation (lower, ideally <= 0, is better — the explanation is
 sufficient).
 
-With the sparse backend enabled the per-explanation model queries run through
+Over several explanations the model queries run through
 ``GNNClassifier.predict_proba_batch`` — one block-diagonal message-passing
 pass over all source graphs and one over all residual/kept subgraphs —
-instead of one forward per probe; with the backend disabled the reference
-per-graph path is used (the A/B pairing the efficiency benchmarks rely on).
+instead of one forward per probe; a single explanation takes the per-graph
+path, and the two agree to float rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.explanation import ExplanationSubgraph
 from repro.gnn.models import GNNClassifier
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import sparse_enabled
 
 __all__ = ["fidelity_plus", "fidelity_minus", "fidelity_report"]
 
@@ -38,10 +37,10 @@ def _batched_probabilities(
 ) -> list[float] | None:
     """Per-graph probability of each graph's paired label, one batched pass.
 
-    Returns ``None`` when batching is unavailable (sparse backend off, scipy
-    missing, or a trivial batch) so callers fall back to per-graph forwards.
+    Returns ``None`` for a trivial batch so callers fall back to per-graph
+    forwards.
     """
-    if not sparse_enabled() or len(graphs) < 2:
+    if len(graphs) < 2:
         return None
     probabilities = model.predict_proba_batch(graphs)
     return [float(probabilities[row, label]) for row, label in enumerate(labels)]

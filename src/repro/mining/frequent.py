@@ -10,15 +10,15 @@ subgraph lattice.
 Enumeration expands connected node sets breadth-first (a deque — seeds in
 node insertion order, boundary nodes in sorted order — so the enumeration
 sequence, and therefore any ``max_patterns_per_graph`` truncation, is fully
-deterministic and reproducible across runs).  With the sparse backend enabled
-(the default) the canonical key of every candidate node set is maintained
-*incrementally* while the set grows — adding one node updates a handful of
-degree counters and appends the new induced edges' descriptors — so the old
-per-set cost of re-inducing a subgraph, rebuilding a :class:`GraphPattern`
-and re-canonicalising it from scratch is paid only for node sets whose key is
-genuinely new.  Both paths traverse identical frontiers and produce identical
-pattern lists; the reference path (``REPRO_SPARSE_BACKEND=0``) is the
-correctness oracle the tests and benchmarks compare against.
+deterministic and reproducible across runs).  The canonical key of every
+candidate node set is maintained *incrementally* while the set grows — adding
+one node updates a handful of degree counters and appends the new induced
+edges' descriptors — so the per-set cost of re-inducing a subgraph,
+rebuilding a :class:`GraphPattern` and re-canonicalising it from scratch is
+paid only for node sets whose key is genuinely new.  The re-canonicalising
+reference, :func:`repro.core.oracles.reference_enumerate_connected_patterns`,
+traverses identical frontiers and produces identical pattern lists; tests
+and benchmarks compare the two.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from repro.exceptions import MiningError
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import GraphPattern
-from repro.graphs.sparse import sparse_enabled
 from repro.graphs.subgraph import induced_subgraph
 from repro.matching.engine import match_many
 
@@ -51,128 +50,29 @@ class FrequentPattern:
     supporting_graphs: list[int]
 
 
-def _enumerate_reference(
-    graph: Graph, max_pattern_size: int, max_patterns_per_graph: int
-) -> list[GraphPattern]:
-    """Breadth-first enumeration, one induce + canonicalise per node set."""
-    patterns: dict[tuple, GraphPattern] = {}
-    visited_sets: set[frozenset[int]] = set()
-    frontier: deque[frozenset[int]] = deque(frozenset({node}) for node in graph.nodes)
-    visited_sets.update(frontier)
-    while frontier and len(patterns) < max_patterns_per_graph:
-        node_set = frontier.popleft()
-        pattern = GraphPattern.from_graph(induced_subgraph(graph, node_set))
-        patterns.setdefault(pattern.canonical_key(), pattern)
-        if len(node_set) >= max_pattern_size:
-            continue
-        boundary: set[int] = set()
-        for node in node_set:
-            boundary |= graph.neighbors(node)
-        for neighbour in sorted(boundary - node_set):
-            extended = node_set | {neighbour}
-            if extended not in visited_sets:
-                visited_sets.add(extended)
-                frontier.append(extended)
-    return list(patterns.values())
+def _first_occurrences(graph: Graph, max_pattern_size: int, max_patterns_per_graph: int):
+    """``(key, node set)`` for the first node set of every distinct key, lazily.
 
-
-def _enumerate_incremental(
-    graph: Graph, max_pattern_size: int, max_patterns_per_graph: int
-) -> list[GraphPattern]:
-    """Same traversal as :func:`_enumerate_reference`, incremental keys.
-
-    Each frontier entry carries its node set *plus* the per-node induced
-    degrees and the multiset of edge descriptors — exactly the ingredients of
-    :meth:`Graph.structural_signature` — maintained incrementally as the set
-    grows.  The canonical key then costs a sort of <= ``max_pattern_size``
-    tuples, and a :class:`GraphPattern` is only materialised (one induced
-    subgraph) for keys not seen before.  Identical output to the reference
-    path: same frontier order, same keys, same first-occurrence node sets.
+    Breadth-first over connected node sets.  Each frontier entry carries its
+    node set *plus* the per-node induced degrees and the multiset of edge
+    descriptors — exactly the ingredients of :meth:`Graph.structural_signature`
+    — maintained incrementally as the set grows, so a key costs a sort of
+    <= ``max_pattern_size`` tuples and no subgraph is induced.  The key tuple
+    *is* the structural signature (same sorted ``(type, degree)`` node part,
+    same sorted edge-descriptor part), so keys compare equal to
+    ``GraphPattern.canonical_key()`` values.  Identical output to the
+    reference enumeration: same frontier order, same keys, same
+    first-occurrence node sets.
     """
     adjacency = {node: graph.neighbors(node) for node in graph.nodes}
     node_type = graph.node_types()
-    patterns: dict[tuple, GraphPattern] = {}
+    seen: set[tuple] = set()
     visited_sets: set[frozenset[int]] = set()
     # Frontier entries: (node set, {node: induced degree}, [edge descriptors]).
     frontier: deque[tuple[frozenset[int], dict[int, int], list[tuple]]] = deque(
         (frozenset({node}), {node: 0}, []) for node in graph.nodes
     )
     visited_sets.update(entry[0] for entry in frontier)
-    while frontier and len(patterns) < max_patterns_per_graph:
-        node_set, degrees, edge_descriptors = frontier.popleft()
-        key = (
-            tuple(sorted((node_type[node], degrees[node]) for node in node_set)),
-            tuple(sorted(edge_descriptors)),
-        )
-        if key not in patterns:
-            patterns[key] = GraphPattern.from_graph(induced_subgraph(graph, node_set))
-        if len(node_set) >= max_pattern_size:
-            continue
-        boundary: set[int] = set()
-        for node in node_set:
-            boundary |= adjacency[node]
-        for neighbour in sorted(boundary - node_set):
-            extended = node_set | {neighbour}
-            if extended in visited_sets:
-                continue
-            visited_sets.add(extended)
-            new_links = adjacency[neighbour] & node_set
-            new_degrees = dict(degrees)
-            new_degrees[neighbour] = len(new_links)
-            new_edges = list(edge_descriptors)
-            for other in new_links:
-                new_degrees[other] += 1
-                type_pair = tuple(sorted((node_type[neighbour], node_type[other])))
-                new_edges.append((graph.edge_type(neighbour, other), type_pair))
-            frontier.append((extended, new_degrees, new_edges))
-    return list(patterns.values())
-
-
-def _iter_keys_reference(
-    graph: Graph, max_pattern_size: int, max_patterns_per_graph: int
-):
-    """Distinct canonical keys of :func:`_enumerate_reference`, lazily."""
-    seen: set[tuple] = set()
-    visited_sets: set[frozenset[int]] = set()
-    frontier: deque[frozenset[int]] = deque(frozenset({node}) for node in graph.nodes)
-    visited_sets.update(frontier)
-    while frontier and len(seen) < max_patterns_per_graph:
-        node_set = frontier.popleft()
-        key = GraphPattern.from_graph(induced_subgraph(graph, node_set)).canonical_key()
-        if key not in seen:
-            seen.add(key)
-            yield key
-        if len(node_set) >= max_pattern_size:
-            continue
-        boundary: set[int] = set()
-        for node in node_set:
-            boundary |= graph.neighbors(node)
-        for neighbour in sorted(boundary - node_set):
-            extended = node_set | {neighbour}
-            if extended not in visited_sets:
-                visited_sets.add(extended)
-                frontier.append(extended)
-
-
-def _iter_keys_incremental(
-    graph: Graph, max_pattern_size: int, max_patterns_per_graph: int
-):
-    """Distinct canonical keys of :func:`_enumerate_incremental`, lazily.
-
-    Exactly the fast path's traversal and incrementally-maintained keys, but
-    no :class:`GraphPattern` is ever materialised — the incremental key tuple
-    *is* :meth:`Graph.structural_signature` (same sorted ``(type, degree)``
-    node part, same sorted edge-descriptor part), so the yielded keys compare
-    equal to ``GraphPattern.canonical_key()`` values.
-    """
-    adjacency = {node: graph.neighbors(node) for node in graph.nodes}
-    node_type = graph.node_types()
-    seen: set[tuple] = set()
-    visited_sets: set[frozenset[int]] = set()
-    frontier: deque[tuple[frozenset[int], dict[int, int], list[tuple]]] = deque(
-        (frozenset({node}), {node: 0}, []) for node in graph.nodes
-    )
-    visited_sets.update(entry[0] for entry in frontier)
     while frontier and len(seen) < max_patterns_per_graph:
         node_set, degrees, edge_descriptors = frontier.popleft()
         key = (
@@ -181,7 +81,7 @@ def _iter_keys_incremental(
         )
         if key not in seen:
             seen.add(key)
-            yield key
+            yield key, node_set
         if len(node_set) >= max_pattern_size:
             continue
         boundary: set[int] = set()
@@ -218,9 +118,7 @@ def iter_connected_pattern_keys(
     """
     if max_pattern_size < 1:
         raise MiningError("max_pattern_size must be at least 1")
-    if sparse_enabled():
-        return _iter_keys_incremental(graph, max_pattern_size, max_patterns_per_graph)
-    return _iter_keys_reference(graph, max_pattern_size, max_patterns_per_graph)
+    return (key for key, _ in _first_occurrences(graph, max_pattern_size, max_patterns_per_graph))
 
 
 def enumerate_connected_patterns(
@@ -235,14 +133,14 @@ def enumerate_connected_patterns(
     deduplicates by canonical key; it stops early once
     ``max_patterns_per_graph`` distinct patterns were produced so
     pathological graphs cannot blow up the search.  The truncated prefix is
-    reproducible across runs and identical between the incremental fast path
-    and the reference path.
+    reproducible across runs and identical to the reference enumeration.
     """
     if max_pattern_size < 1:
         raise MiningError("max_pattern_size must be at least 1")
-    if sparse_enabled():
-        return _enumerate_incremental(graph, max_pattern_size, max_patterns_per_graph)
-    return _enumerate_reference(graph, max_pattern_size, max_patterns_per_graph)
+    return [
+        GraphPattern.from_graph(induced_subgraph(graph, node_set))
+        for _, node_set in _first_occurrences(graph, max_pattern_size, max_patterns_per_graph)
+    ]
 
 
 def frequent_patterns(

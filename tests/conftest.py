@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core import Configuration
+from repro.core.sampling import build_analysis
+from repro.core.verification import EVerify
 from repro.datasets import make_mutagenicity, make_reddit_binary
 from repro.gnn import GNNClassifier, Trainer
 from repro.graphs import Graph
@@ -57,6 +59,24 @@ def build_random_typed_graph(num_nodes: int, seed: int = 0, num_types: int = 3) 
         if not graph.has_edge(u, v):
             graph.add_edge(u, v)
     return graph
+
+
+def on_production_kernels(oracle_class: type) -> type:
+    """``oracle_class``'s reference loops over the production EVerify and analysis.
+
+    The oracle explainers of :mod:`repro.core.oracles` run the reference
+    kernels as well as the reference loops; this isolates the loops.
+    """
+
+    class OnProductionKernels(oracle_class):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self.everify = EVerify(self.model)
+
+        def _build_analysis(self, graph: Graph):
+            return build_analysis(self.model, graph, self.config)
+
+    return OnProductionKernels
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 Random graphs x random patterns, asserting `has_matching`,
 `matched_node_sets` and `count_matchings` agree between the engine and the
-reference backtracking search — on both backends, with and without the
+reference backtracking search — with and without the
 vectorized prefilters — plus memo invalidation under graph mutation.
 Capped queries must agree *as ordered lists* (the engine replays the
 reference enumeration order when a cap binds); uncapped queries as sets.
@@ -13,8 +13,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.oracles import reference_covered_edges, reference_covered_nodes
 from repro.graphs import GraphPattern, induced_subgraph
-from repro.graphs.sparse import sparse_backend
 from repro.matching import isomorphism as reference
 from repro.matching.engine import MatchEngine, get_engine, match_many
 
@@ -85,14 +85,12 @@ def test_coverage_identical_across_backends(params):
     graph = build_random_typed_graph(num_nodes, seed=seed)
     pattern = grow_connected_pattern(graph, seed, max_size=4)
     for cap in (None, 1, 64):
-        with sparse_backend(True):
-            sparse_nodes = covered_nodes(pattern, graph, max_matchings=cap)
-            sparse_edges = covered_edges(pattern, graph, max_matchings=cap)
-        with sparse_backend(False):
-            legacy_nodes = covered_nodes(pattern, graph, max_matchings=cap)
-            legacy_edges = covered_edges(pattern, graph, max_matchings=cap)
-        assert sparse_nodes == legacy_nodes
-        assert sparse_edges == legacy_edges
+        assert covered_nodes(pattern, graph, max_matchings=cap) == reference_covered_nodes(
+            pattern, graph, max_matchings=cap
+        )
+        assert covered_edges(pattern, graph, max_matchings=cap) == reference_covered_edges(
+            pattern, graph, max_matchings=cap
+        )
 
 
 @settings(max_examples=20, deadline=None)
@@ -109,15 +107,8 @@ def test_memo_invalidates_on_graph_version_bumps(params):
     graph.add_node(new_node, pattern.node_type(pattern.nodes[0]))
     graph.add_edge(new_node, graph.nodes[0])
     after = engine.covered_nodes(pattern, graph)
-    assert after == reference_covered(pattern, graph)
+    assert after == reference_covered_nodes(pattern, graph)
     assert new_node not in before  # the pre-mutation result was not rewritten
-
-
-def reference_covered(pattern, graph):
-    covered = set()
-    for mapping in reference.iter_matchings(pattern, graph):
-        covered.update(mapping.values())
-    return covered
 
 
 @settings(max_examples=20, deadline=None)
@@ -129,8 +120,7 @@ def test_match_many_equals_per_graph_reference(params, num_graphs):
         for offset in range(num_graphs)
     ]
     pattern = grow_connected_pattern(graphs[0], seed, max_size=3)
-    with sparse_backend(True):
-        flags = match_many(pattern, graphs)
+    flags = match_many(pattern, graphs)
     assert flags == [reference.has_matching(pattern, graph) for graph in graphs]
 
 
@@ -143,9 +133,5 @@ def test_shared_engine_dispatch_is_consistent(params):
     num_nodes, seed = params
     graph = build_random_typed_graph(num_nodes, seed=seed)
     pattern = grow_connected_pattern(graph, seed, max_size=4)
-    with sparse_backend(True):
-        engine_answer = dispatched(pattern, graph)
-    with sparse_backend(False):
-        legacy_answer = dispatched(pattern, graph)
-    assert engine_answer == legacy_answer
+    assert dispatched(pattern, graph) == reference.has_matching(pattern, graph)
     assert get_engine().stats()["size"] >= 0

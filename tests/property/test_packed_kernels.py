@@ -6,7 +6,8 @@ integer popcounts that must equal the oracle's boolean counts exactly.  These
 tests fuzz that claim at three levels — the raw pack/unpack/popcount
 helpers (including the odd-tail widths where padding bugs live), the
 word-level AND / AND-NOT counting idiom the coverage deltas use, and the
-public ``GraphAnalysis`` / ``CoverageState`` scores across both backends.
+public ``GraphAnalysis`` / ``CoverageState`` scores against the boolean-mask
+``ReferenceGraphAnalysis`` / ``ReferenceCoverageState`` oracles.
 """
 
 import numpy as np
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Configuration, GraphAnalysis
+from repro.core.oracles import ReferenceGraphAnalysis
 from repro.core.quality import pack_rows, unpack_bits, word_popcounts
 from repro.gnn import GNNClassifier
-from repro.graphs.sparse import sparse_backend
+from repro.graphs import Graph
 
 from tests.conftest import build_random_typed_graph
 
@@ -106,16 +108,15 @@ def test_scores_bit_identical_across_backends(model, params, data):
     config = Configuration(theta=theta, radius=0.3, gamma=gamma)
     subset = data.draw(st.sets(st.sampled_from(graph.nodes), max_size=num_nodes))
     results = {}
-    for backend in (True, False):
-        with sparse_backend(backend):
-            analysis = GraphAnalysis(model, graph, config)
-            results[backend] = (
-                analysis.influence_score(subset),
-                analysis.diversity_score(subset),
-                analysis.explainability(subset),
-                analysis.influenced_nodes(subset),
-            )
-    assert results[True] == results[False]
+    for analysis_class in (GraphAnalysis, ReferenceGraphAnalysis):
+        analysis = analysis_class(model, graph, config)
+        results[analysis_class] = (
+            analysis.influence_score(subset),
+            analysis.diversity_score(subset),
+            analysis.explainability(subset),
+            analysis.influenced_nodes(subset),
+        )
+    assert results[GraphAnalysis] == results[ReferenceGraphAnalysis]
 
 
 @settings(max_examples=20, deadline=None)
@@ -131,19 +132,40 @@ def test_coverage_state_greedy_trace_identical_across_backends(model, params):
     graph = build_random_typed_graph(num_nodes, seed=seed)
     config = Configuration(theta=theta, radius=0.3, gamma=gamma)
     traces = {}
-    for backend in (True, False):
-        with sparse_backend(backend):
-            analysis = GraphAnalysis(model, graph, config)
-            coverage = analysis.reset_coverage()
-            trace = []
-            selected: set[int] = set()
-            for _ in range(min(4, num_nodes)):
-                remaining = [node for node in graph.nodes if node not in selected]
-                gains = coverage.batch_gains(remaining)
-                best = max(range(len(remaining)), key=lambda slot: (gains[slot], -remaining[slot]))
-                node = remaining[best]
-                trace.append((tuple(gains.tolist()), coverage.gain(node), coverage.commit(node)))
-                selected.add(node)
-            trace.append(coverage.explainability())
-            traces[backend] = trace
-    assert traces[True] == traces[False]
+    for analysis_class in (GraphAnalysis, ReferenceGraphAnalysis):
+        analysis = analysis_class(model, graph, config)
+        coverage = analysis.reset_coverage()
+        trace = []
+        selected: set[int] = set()
+        for _ in range(min(4, num_nodes)):
+            remaining = [node for node in graph.nodes if node not in selected]
+            gains = coverage.batch_gains(remaining)
+            best = max(range(len(remaining)), key=lambda slot: (gains[slot], -remaining[slot]))
+            node = remaining[best]
+            trace.append((tuple(gains.tolist()), coverage.gain(node), coverage.commit(node)))
+            selected.add(node)
+        trace.append(coverage.explainability())
+        traces[analysis_class] = trace
+    assert traces[GraphAnalysis] == traces[ReferenceGraphAnalysis]
+
+
+def test_empty_graph_scores_match_the_boolean_oracle(model):
+    """An empty graph has no packed words; every score stays the oracle's zero."""
+    config = Configuration()
+    results = {}
+    for analysis_class in (GraphAnalysis, ReferenceGraphAnalysis):
+        analysis = analysis_class(model, Graph(), config)
+        coverage = analysis.reset_coverage([0])
+        results[analysis_class] = (
+            analysis.influence_score([0]),
+            analysis.diversity_score([0]),
+            analysis.explainability([0]),
+            analysis.marginal_gains(set(), [0, 1]).tolist(),
+            coverage.explainability(),
+            coverage.batch_gains([0, 1]).tolist(),
+            coverage.gain(0),
+            coverage.gain_upper_bound(1),
+            coverage.commit(0),
+        )
+    assert results[GraphAnalysis] == results[ReferenceGraphAnalysis]
+    assert results[GraphAnalysis] == (0, 0, 0.0, [0.0, 0.0], 0.0, [0.0, 0.0], 0.0, 0.0, 0.0)

@@ -2,8 +2,9 @@
 
 The acceptance criterion is *lossless* JSON persistence: node sets, labels,
 metric floats, pattern structure, and provenance must survive
-``from_dict(to_dict(x))`` exactly — across tier-1 datasets, both sparse and
-legacy backends, and both GVEX algorithms.  A committed golden file pins the
+``from_dict(to_dict(x))`` exactly — across tier-1 datasets, views from the
+production explainers (``sparse``) and from the oracle explainers of
+:mod:`repro.core.oracles` (``legacy``), and both GVEX algorithms.  A committed golden file pins the
 on-disk schema so accidental layout changes fail loudly.
 """
 
@@ -32,9 +33,9 @@ from repro.api import (
     views_equal,
 )
 from repro.core import Configuration, ExplanationSubgraph, ExplanationView, ExplanationViewSet
+from repro.core.oracles import ReferenceApproxGVEX, ReferenceStreamGVEX
 from repro.exceptions import ExplanationError
 from repro.graphs import Graph, GraphPattern
-from repro.graphs.sparse import sparse_backend
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_view.json"
 
@@ -90,16 +91,17 @@ def build_reference_result() -> ExplanationResult:
 
 @pytest.fixture(scope="module")
 def generated_views(trained_mut_model, mut_database):
-    """Views from both algorithms on both backends (tier-1 MUT dataset)."""
+    """Views from both algorithms, production and oracle (tier-1 MUT dataset)."""
     graphs = mut_database.graphs[:4]
     label = trained_mut_model.predict(graphs[0])
     config = Configuration().with_default_bound(0, 5)
+    oracles = {"approx": ReferenceApproxGVEX, "stream": ReferenceStreamGVEX}
     views = {}
-    for backend in (True, False):
-        with sparse_backend(backend):
-            for algorithm in ("approx", "stream"):
-                explainer = create_explainer(algorithm, trained_mut_model, config=config)
-                views[(algorithm, backend)] = explainer.explain_label(graphs, label)
+    for algorithm in ("approx", "stream"):
+        explainer = create_explainer(algorithm, trained_mut_model, config=config)
+        views[(algorithm, True)] = explainer.explain_label(graphs, label)
+        oracle = oracles[algorithm](trained_mut_model, config)
+        views[(algorithm, False)] = oracle.explain_label(graphs, label)
     return views
 
 

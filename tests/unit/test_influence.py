@@ -7,9 +7,8 @@ import pytest
 
 from repro.exceptions import ModelError
 from repro.gnn import GNNClassifier
+from repro.core.oracles import reference_jacobian_l1
 from repro.gnn.influence import (
-    _jacobian_l1_batched,
-    _jacobian_l1_reference,
     _layer_operator,
     influence_matrix,
     jacobian_l1_matrix,
@@ -185,20 +184,20 @@ class TestIdentityFreeJacobian:
     def test_bit_identical_to_the_identity_seeded_recurrence(self, model):
         for graph in self.graphs():
             assert np.array_equal(
-                _jacobian_l1_batched(model, graph), identity_seeded_jacobian(model, graph)
+                jacobian_l1_matrix(model, graph), identity_seeded_jacobian(model, graph)
             )
 
     def test_matches_the_einsum_reference(self, model):
         for graph in self.graphs():
             np.testing.assert_allclose(
-                _jacobian_l1_batched(model, graph),
-                _jacobian_l1_reference(model, graph),
+                jacobian_l1_matrix(model, graph),
+                reference_jacobian_l1(model, graph),
                 rtol=1e-10,
                 atol=1e-12,
             )
 
     def test_isolated_nodes_only_influence_themselves(self, model):
-        matrix = _jacobian_l1_batched(model, isolated_nodes_graph())
+        matrix = jacobian_l1_matrix(model, isolated_nodes_graph())
         for isolated in (3, 6):
             off_diagonal = np.delete(matrix[isolated], isolated)
             assert not off_diagonal.any()
@@ -207,6 +206,6 @@ class TestIdentityFreeJacobian:
     def test_sage_is_rejected(self, path_graph):
         sage = GNNClassifier(feature_dim=2, num_classes=2, hidden_dim=3, num_layers=2, conv="sage")
         with pytest.raises(ModelError):
-            _jacobian_l1_batched(sage, path_graph)
-        with pytest.raises(ModelError):
             jacobian_l1_matrix(sage, path_graph)
+        with pytest.raises(ModelError):
+            reference_jacobian_l1(sage, path_graph)

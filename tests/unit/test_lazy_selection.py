@@ -2,10 +2,11 @@
 
 The CELF engine must be *output-identical* to the eager greedy loops of
 :mod:`repro.core.oracles` — same explanation node sets, same explainability
-— across tier-1 datasets, seeds, and both the sparse and the legacy backend
-(the ``REPRO_SPARSE_BACKEND`` toggle).  These tests pin that contract, plus
-the incremental coverage state and the bounded label-probability memo the
-engine is built on.
+— across tier-1 datasets, seeds, and both kernel sets under the eager loops:
+``sparse`` runs them over the production EVerify and analysis, ``legacy``
+over the reference ones (the oracle classes as they ship).  These tests pin
+that contract, plus the incremental coverage state and the bounded
+label-probability memo the engine is built on.
 """
 
 from __future__ import annotations
@@ -18,12 +19,18 @@ import pytest
 
 from repro.core import Configuration, GraphAnalysis, LRUCache
 from repro.core.approx import ApproxGVEX
-from repro.core.oracles import ReferenceApproxGVEX, ReferenceStreamGVEX
+from repro.core.oracles import (
+    ReferenceApproxGVEX,
+    ReferenceEVerify,
+    ReferenceGraphAnalysis,
+    ReferenceStreamGVEX,
+)
 from repro.core.streaming import StreamGVEX
 from repro.core.selection import lazy_greedy_select
 from repro.datasets import load_dataset
 from repro.gnn import GNNClassifier, Trainer
-from repro.graphs.sparse import sparse_backend
+
+from tests.conftest import on_production_kernels
 
 TIER1_DATASETS = ("MUT", "SYN")
 SEEDS = (3, 11)
@@ -51,6 +58,11 @@ def _context(dataset: str, seed: int):
     return database, model
 
 
+def _eager(oracle_class, sparse: bool):
+    """The oracle class, over the production kernels when ``sparse``."""
+    return on_production_kernels(oracle_class) if sparse else oracle_class
+
+
 def _view_fingerprint(view):
     return (
         [sorted(subgraph.nodes) for subgraph in view.subgraphs],
@@ -66,9 +78,10 @@ class TestLazyEagerEquivalence:
         database, model = _context(dataset, seed)
         config = Configuration(theta=0.08).with_default_bound(0, 8)
         label = model.predict(database[0])
-        with sparse_backend(sparse):
-            lazy = ApproxGVEX(model, config).explain_label(database.graphs, label)
-            eager = ReferenceApproxGVEX(model, config).explain_label(database.graphs, label)
+        lazy = ApproxGVEX(model, config).explain_label(database.graphs, label)
+        eager = _eager(ReferenceApproxGVEX, sparse)(model, config).explain_label(
+            database.graphs, label
+        )
         assert _view_fingerprint(lazy)[0] == _view_fingerprint(eager)[0]
         assert lazy.explainability == eager.explainability
 
@@ -79,9 +92,10 @@ class TestLazyEagerEquivalence:
         database, model = _context(dataset, SEEDS[0])
         config = Configuration(theta=0.08).with_default_bound(5, 8)
         label = model.predict(database[0])
-        with sparse_backend(sparse):
-            lazy = ApproxGVEX(model, config).explain_label(database.graphs, label)
-            eager = ReferenceApproxGVEX(model, config).explain_label(database.graphs, label)
+        lazy = ApproxGVEX(model, config).explain_label(database.graphs, label)
+        eager = _eager(ReferenceApproxGVEX, sparse)(model, config).explain_label(
+            database.graphs, label
+        )
         assert _view_fingerprint(lazy)[0] == _view_fingerprint(eager)[0]
         assert lazy.explainability == eager.explainability
 
@@ -92,13 +106,10 @@ class TestLazyEagerEquivalence:
         database, model = _context("MUT", seed)
         config = Configuration(theta=0.08, seed=seed).with_default_bound(4, 6)
         label = model.predict(database[0])
-        with sparse_backend(sparse):
-            lazy = StreamGVEX(model, config, batch_size=4).explain_label(
-                database.graphs, label
-            )
-            eager = ReferenceStreamGVEX(model, config, batch_size=4).explain_label(
-                database.graphs, label
-            )
+        lazy = StreamGVEX(model, config, batch_size=4).explain_label(database.graphs, label)
+        eager = _eager(ReferenceStreamGVEX, sparse)(model, config, batch_size=4).explain_label(
+            database.graphs, label
+        )
         assert _view_fingerprint(lazy)[0] == _view_fingerprint(eager)[0]
         assert lazy.explainability == eager.explainability
 
@@ -114,14 +125,21 @@ class TestLazyEagerEquivalence:
         assert _view_fingerprint(lazy)[0] == _view_fingerprint(eager)[0]
 
     def test_cross_backend_views_identical(self):
-        """Sparse and legacy backends agree under the (default) lazy strategy."""
+        """The CELF loops agree on either kernel set."""
         database, model = _context("MUT", SEEDS[0])
         config = Configuration(theta=0.08).with_default_bound(0, 8)
         label = model.predict(database[0])
-        with sparse_backend(True):
-            sparse_view = ApproxGVEX(model, config).explain_label(database.graphs, label)
-        with sparse_backend(False):
-            legacy_view = ApproxGVEX(model, config).explain_label(database.graphs, label)
+
+        class LazyOnReferenceKernels(ApproxGVEX):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                self.everify = ReferenceEVerify(self.model)
+
+            def _build_analysis(self, graph):
+                return ReferenceGraphAnalysis(self.model, graph, self.config)
+
+        sparse_view = ApproxGVEX(model, config).explain_label(database.graphs, label)
+        legacy_view = LazyOnReferenceKernels(model, config).explain_label(database.graphs, label)
         assert _view_fingerprint(sparse_view)[0] == _view_fingerprint(legacy_view)[0]
         assert sparse_view.explainability == legacy_view.explainability
 

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from repro.graphs import Graph, GraphPattern
-from repro.graphs.sparse import sparse_backend
 from repro.matching import isomorphism as reference
 from repro.matching.engine import (
     SMALL_GRAPH_NODES,
     MatchEngine,
+    count_matchings,
     get_engine,
     has_matching,
     match_many,
@@ -280,31 +280,23 @@ class TestEngineMemo:
 
 
 class TestDispatchers:
-    def test_dispatch_respects_the_backend_toggle(self):
+    def test_dispatchers_agree_with_the_reference_matcher(self):
         graph = typed_graph()
-        pattern = path_pattern(["A", "B"], ["x"])
-        with sparse_backend(True):
-            sparse_result = has_matching(pattern, graph)
-            sparse_sets = matched_node_sets(pattern, graph)
-        with sparse_backend(False):
-            legacy_result = has_matching(pattern, graph)
-            legacy_sets = matched_node_sets(pattern, graph)
-        assert sparse_result == legacy_result
-        assert {frozenset(s) for s in sparse_sets} == {frozenset(s) for s in legacy_sets}
+        for pattern in (path_pattern(["A", "B"], ["x"]), path_pattern(["A", "C"], ["x"])):
+            assert has_matching(pattern, graph) == reference.has_matching(pattern, graph)
+            assert count_matchings(pattern, graph, limit=8) == reference.count_matchings(
+                pattern, graph, limit=8
+            )
+            assert {frozenset(s) for s in matched_node_sets(pattern, graph)} == {
+                frozenset(s) for s in reference.matched_node_sets(pattern, graph)
+            }
 
     def test_match_many_agrees_with_per_graph_calls(self):
         graphs = [typed_graph() for _ in range(3)]
         graphs[1].remove_node(1)  # drop the only B
         pattern = path_pattern(["A", "B"], ["x"])
-        with sparse_backend(True):
-            flags = match_many(pattern, graphs)
+        flags = match_many(pattern, graphs)
         assert flags == [reference.has_matching(pattern, graph) for graph in graphs]
-
-    def test_match_many_reference_fallback(self):
-        graphs = [typed_graph()]
-        pattern = path_pattern(["A", "B"], ["x"])
-        with sparse_backend(False):
-            assert match_many(pattern, graphs) == [True]
 
     def test_warm_match_indices_builds_per_view_tables(self):
         # Large enough to clear the small-graph cutoff (small graphs run the
@@ -314,17 +306,14 @@ class TestDispatchers:
             graph.add_node(node, "A" if node % 2 else "B")
         for node in range(1, 30):
             graph.add_edge(node - 1, node)
-        with sparse_backend(True):
-            assert warm_match_indices([graph]) == 1
-            view = graph.sparse_view()
-            assert view._degrees is not None
-            assert view._neighbour_type_counts is not None
-            assert view._row_neighbour_sets is not None
-            assert view._edge_code_map is not None
-            # Sub-cutoff graphs never consult the indices; not warmed.
-            assert warm_match_indices([typed_graph()]) == 0
-        with sparse_backend(False):
-            assert warm_match_indices([graph]) == 0
+        assert warm_match_indices([graph]) == 1
+        view = graph.sparse_view()
+        assert view._degrees is not None
+        assert view._neighbour_type_counts is not None
+        assert view._row_neighbour_sets is not None
+        assert view._edge_code_map is not None
+        # Sub-cutoff graphs never consult the indices; not warmed.
+        assert warm_match_indices([typed_graph()]) == 0
 
 
 class TestPatternKeyCache:

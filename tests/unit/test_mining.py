@@ -13,6 +13,7 @@ from repro.mining import (
     mdl_rank,
     pattern_encoding_cost,
 )
+from repro.mining.frequent import iter_connected_pattern_keys
 
 
 def typed_triangle():
@@ -178,23 +179,27 @@ class TestEnumerationDeterminism:
         assert sizes == sorted(sizes)
 
     def test_incremental_and_reference_paths_agree(self):
-        from repro.graphs.sparse import sparse_backend
+        from repro.core.oracles import (
+            reference_enumerate_connected_patterns,
+            reference_iter_connected_pattern_keys,
+        )
 
         for seed in (0, 3, 9):
             graph = self.build_graph(seed=seed)
             for cap in (6, 40, 10_000):
-                with sparse_backend(True):
-                    fast = enumerate_connected_patterns(graph, 4, max_patterns_per_graph=cap)
-                with sparse_backend(False):
-                    reference = enumerate_connected_patterns(
-                        graph, 4, max_patterns_per_graph=cap
-                    )
+                fast = enumerate_connected_patterns(graph, 4, max_patterns_per_graph=cap)
+                reference = reference_enumerate_connected_patterns(
+                    graph, 4, max_patterns_per_graph=cap
+                )
                 assert [p.canonical_key() for p in fast] == [
                     p.canonical_key() for p in reference
                 ]
+                assert list(iter_connected_pattern_keys(graph, 4, cap)) == list(
+                    reference_iter_connected_pattern_keys(graph, 4, cap)
+                )
 
     def test_frequent_patterns_identical_across_backends(self):
-        from repro.graphs.sparse import sparse_backend
+        from repro.core.oracles import reference_frequent_patterns
 
         graphs = [self.build_graph(seed=seed, num_nodes=8) for seed in range(4)]
         def snapshot(results):
@@ -203,8 +208,6 @@ class TestEnumerationDeterminism:
                 for fp in results
             ]
 
-        with sparse_backend(True):
-            fast = snapshot(frequent_patterns(graphs, min_support=2, max_pattern_size=3))
-        with sparse_backend(False):
-            reference = snapshot(frequent_patterns(graphs, min_support=2, max_pattern_size=3))
+        fast = snapshot(frequent_patterns(graphs, min_support=2, max_pattern_size=3))
+        reference = snapshot(reference_frequent_patterns(graphs, min_support=2, max_pattern_size=3))
         assert fast == reference

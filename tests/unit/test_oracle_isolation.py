@@ -1,4 +1,5 @@
-"""The reference implementations stay out of the production import graph."""
+"""The reference implementations stay out of the production import graph,
+and the retired backend toggle stays out of the package."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,24 @@ def test_only_the_oracle_module_imports_the_oracles():
 )
 def test_the_scan_sees_each_import_form(source):
     assert ORACLES in _imported_modules(source, "repro.core")
+
+
+RETIRED_TOGGLE = ("sparse_enabled", "sparse_backend", "REPRO_SPARSE_BACKEND")
+
+
+def test_the_retired_backend_toggle_stays_gone():
+    """One production path: nothing in the package names the old switch."""
+    offenders = [
+        f"{_module_name(path)}: {name}"
+        for path in PACKAGE_ROOT.rglob("*.py")
+        for name in RETIRED_TOGGLE
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_the_graphs_package_exports_no_toggle():
+    import repro.graphs
+
+    exported = set(repro.graphs.__all__) | set(vars(repro.graphs))
+    assert not exported & {"sparse_enabled", "set_sparse_backend", "sparse_backend"}

@@ -11,6 +11,8 @@ Contracts pinned here:
   request type (stream, approx, limit selections);
 * whole-database stream requests stay identical at *any* shard count (the
   router reassembles deterministic per-graph rows in global order);
+* approx requests keep every graph's explanation node set at any shard
+  count; only the merged pattern set may differ from the single process;
 * mutations route to the owning shard, keep global/stored state agreeing,
   and are idempotent under retry;
 * a killed worker is respawned from its bootstrap and the tier keeps
@@ -122,6 +124,29 @@ class TestShardedIdentity:
             assert [p.pattern_id for p in result.view.patterns] == list(
                 range(len(result.view.patterns))
             )
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_multi_shard_approx_keeps_every_graphs_explanation(
+        self, seed_payload, trained_mut_model, shard_config, reference, num_shards
+    ):
+        """The approx contract: per-graph node sets match the single process;
+        only the merged pattern set may differ."""
+
+        def node_sets(view):
+            return {
+                subgraph.source_graph.graph_id: sorted(subgraph.nodes)
+                for subgraph in view.subgraphs
+            }
+
+        with make_router(
+            seed_payload, trained_mut_model, shard_config, num_shards
+        ) as router:
+            for label in (0, 1):
+                request = {"algorithm": "approx", "label": label, "max_nodes": 6}
+                ours = router.explain(**request).view
+                oracle = reference.explain(**request).view
+                assert node_sets(ours) == node_sets(oracle)
+                assert len(node_sets(ours)) == len(ours.subgraphs)
 
     def test_uneven_shard_counts_still_assemble(self, seed_payload, trained_mut_model, shard_config, reference):
         # 5 shards over 10 graphs: CRC placement leaves shards with very

@@ -1,20 +1,24 @@
-"""Unit tests for the cached CSR sparse backend (repro.graphs.sparse)."""
+"""Unit tests for the cached CSR sparse views (repro.graphs.sparse).
+
+The equivalence classes compare the view-backed production paths with the
+per-node references in :mod:`repro.core.oracles`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.config import Configuration
+from repro.core.oracles import (
+    ReferenceEVerify,
+    ReferenceGraphAnalysis,
+    reference_covered_edges,
+    reference_covered_nodes,
+    reference_induced_subgraph,
+    reference_khop_subgraph,
+)
 from repro.core.quality import GraphAnalysis
 from repro.core.verification import EVerify
-from repro.graphs import (
-    Graph,
-    GraphPattern,
-    induced_subgraph,
-    khop_subgraph,
-    set_sparse_backend,
-    sparse_backend,
-    sparse_enabled,
-)
+from repro.graphs import Graph, GraphPattern, induced_subgraph, khop_subgraph
 from repro.graphs.sparse import BatchedGraphView
 from repro.matching.coverage import covered_edges, covered_nodes
 
@@ -28,20 +32,6 @@ def build_test_graph() -> Graph:
     graph.add_edge(9, 2, "single")
     graph.add_edge(4, 6, "single")
     return graph
-
-
-class TestToggle:
-    def test_context_manager_restores_state(self):
-        initial = sparse_enabled()
-        with sparse_backend(not initial):
-            assert sparse_enabled() is (not initial)
-        assert sparse_enabled() is initial
-
-    def test_set_returns_previous(self):
-        initial = sparse_enabled()
-        assert set_sparse_backend(False) is initial
-        assert sparse_enabled() is False
-        set_sparse_backend(initial)
 
 
 class TestSparseGraphView:
@@ -77,20 +67,21 @@ class TestSparseGraphView:
         assert graph.version > before
 
     def test_matrices_match_reference(self):
+        # Without a cached view the accessors build the matrices node by
+        # node; with one they copy the view's cached matrices.
+        uncached = build_test_graph()
+        assert uncached.sparse_view_if_cached() is None
         graph = build_test_graph()
-        with sparse_backend(False):
-            reference_adj = graph.adjacency_matrix()
-            reference_feat = graph.feature_matrix()
-        with sparse_backend(True):
-            np.testing.assert_array_equal(graph.adjacency_matrix(), reference_adj)
-            np.testing.assert_array_equal(graph.feature_matrix(), reference_feat)
+        graph.sparse_view()
+        np.testing.assert_array_equal(graph.adjacency_matrix(), uncached.adjacency_matrix())
+        np.testing.assert_array_equal(graph.feature_matrix(), uncached.feature_matrix())
 
     def test_returned_matrices_are_safe_copies(self):
         graph = build_test_graph()
-        with sparse_backend(True):
-            matrix = graph.adjacency_matrix()
-            matrix[0, 0] = 99.0
-            assert graph.adjacency_matrix()[0, 0] == 0.0
+        graph.sparse_view()
+        matrix = graph.adjacency_matrix()
+        matrix[0, 0] = 99.0
+        assert graph.adjacency_matrix()[0, 0] == 0.0
 
     def test_dense_adjacency_self_loops(self):
         graph = build_test_graph()
@@ -125,10 +116,8 @@ class TestExtractionEquivalence:
     @pytest.mark.parametrize("nodes", [{4}, {4, 1, 9}, {4, 1, 9, 2, 6}, set()])
     def test_induced_subgraph_identical(self, nodes):
         graph = build_test_graph()
-        with sparse_backend(False):
-            reference = induced_subgraph(graph, nodes)
-        with sparse_backend(True):
-            fast = induced_subgraph(graph, nodes)
+        reference = reference_induced_subgraph(graph, nodes)
+        fast = induced_subgraph(graph, nodes)
         assert fast.nodes == reference.nodes
         assert fast.edges == reference.edges
         assert fast.node_types() == reference.node_types()
@@ -140,10 +129,8 @@ class TestExtractionEquivalence:
     @pytest.mark.parametrize("hops", [0, 1, 2, 3])
     def test_khop_subgraph_identical(self, hops):
         graph = build_test_graph()
-        with sparse_backend(False):
-            reference = khop_subgraph(graph, 4, hops)
-        with sparse_backend(True):
-            fast = khop_subgraph(graph, 4, hops)
+        reference = reference_khop_subgraph(graph, 4, hops)
+        fast = khop_subgraph(graph, 4, hops)
         assert fast.nodes == reference.nodes
         assert fast.edges == reference.edges
 
@@ -169,21 +156,18 @@ class TestCoverageEquivalence:
     def test_covered_nodes_and_edges_identical(self, max_matchings):
         graph = build_test_graph()
         for pattern in self.patterns():
-            with sparse_backend(False):
-                ref_nodes = covered_nodes(pattern, graph, max_matchings=max_matchings)
-                ref_edges = covered_edges(pattern, graph, max_matchings=max_matchings)
-            with sparse_backend(True):
-                assert covered_nodes(pattern, graph, max_matchings=max_matchings) == ref_nodes
-                assert covered_edges(pattern, graph, max_matchings=max_matchings) == ref_edges
+            ref_nodes = reference_covered_nodes(pattern, graph, max_matchings=max_matchings)
+            ref_edges = reference_covered_edges(pattern, graph, max_matchings=max_matchings)
+            assert covered_nodes(pattern, graph, max_matchings=max_matchings) == ref_nodes
+            assert covered_edges(pattern, graph, max_matchings=max_matchings) == ref_edges
 
 
 class TestModelEquivalence:
     def test_duplicate_node_ids_deduplicated(self, trained_mut_model, mut_database):
         graph = mut_database[0]
         nodes = graph.nodes[:4]
-        with sparse_backend(True):
-            reference = trained_mut_model.predict_proba_nodes(graph, nodes)
-            duplicated = trained_mut_model.predict_proba_nodes(graph, nodes + nodes[:2])
+        reference = trained_mut_model.predict_proba_nodes(graph, nodes)
+        duplicated = trained_mut_model.predict_proba_nodes(graph, nodes + nodes[:2])
         np.testing.assert_array_equal(duplicated, reference)
 
     def test_everify_cache_drops_superseded_versions(self, trained_mut_model):
@@ -202,19 +186,21 @@ class TestModelEquivalence:
         graph = mut_database[0]
         probe_sets = [set(graph.nodes[:3]), set(graph.nodes[2:7]), set(graph.nodes)]
         results = {}
-        for enabled in (False, True):
-            with sparse_backend(enabled):
-                everify = EVerify(trained_mut_model)
-                label = everify.predict(graph)
-                analysis = GraphAnalysis(trained_mut_model, graph, config)
-                gains = analysis.marginal_gains(set(graph.nodes[:2]), graph.nodes[2:])
-                results[enabled] = (
-                    label,
-                    [everify.is_consistent(graph, nodes, label) for nodes in probe_sets],
-                    [everify.is_counterfactual(graph, nodes, label) for nodes in probe_sets],
-                    gains.tolist(),
-                )
-        assert results[True] == results[False]
+        for everify_class, analysis_class in (
+            (EVerify, GraphAnalysis),
+            (ReferenceEVerify, ReferenceGraphAnalysis),
+        ):
+            everify = everify_class(trained_mut_model)
+            label = everify.predict(graph)
+            analysis = analysis_class(trained_mut_model, graph, config)
+            gains = analysis.marginal_gains(set(graph.nodes[:2]), graph.nodes[2:])
+            results[everify_class] = (
+                label,
+                [everify.is_consistent(graph, nodes, label) for nodes in probe_sets],
+                [everify.is_counterfactual(graph, nodes, label) for nodes in probe_sets],
+                gains.tolist(),
+            )
+        assert results[EVerify] == results[ReferenceEVerify]
 
 
 class TestBatchedGraphView:

@@ -5,8 +5,8 @@ verdicts, swap-first IncUpdateVS and short-circuit novelty probes.
 :class:`~repro.core.oracles.ReferenceStreamGVEX` runs the paper-literal
 per-node loop.  The two must produce *identical* views — same node sets,
 same patterns, same explainability — on every input; these tests pin that
-across stream seeds, both backends and both ``ViewMaintainer`` label
-sources.
+across stream seeds, both kernel sets under the per-node loop and both
+``ViewMaintainer`` label sources.
 """
 
 import pytest
@@ -16,7 +16,8 @@ from repro.core.maintenance import ViewMaintainer
 from repro.core.oracles import ReferenceStreamGVEX
 from repro.core.streaming import StreamGVEX
 from repro.graphs.database import GraphDatabase
-from repro.graphs.sparse import sparse_backend
+
+from tests.conftest import on_production_kernels
 
 CONFIG = Configuration(theta=0.08).with_default_bound(0, 8)
 
@@ -47,15 +48,10 @@ def test_batched_equals_per_node_stream(trained_mut_model, mut_database, seed):
 
 
 def test_batched_equals_per_node_on_both_backends(trained_mut_model, mut_database):
-    results = {}
-    for backend in (True, False):
-        with sparse_backend(backend):
-            for explainer_class in (StreamGVEX, ReferenceStreamGVEX):
-                results[(backend, explainer_class)] = _stream_signatures(
-                    explainer_class, trained_mut_model, mut_database, seed=0
-                )
-    reference = results[(True, StreamGVEX)]
-    assert all(value == reference for value in results.values())
+    """The per-node pass agrees with the batched one on either kernel set."""
+    batched = _stream_signatures(StreamGVEX, trained_mut_model, mut_database, seed=0)
+    for per_node_class in (ReferenceStreamGVEX, on_production_kernels(ReferenceStreamGVEX)):
+        assert _stream_signatures(per_node_class, trained_mut_model, mut_database, seed=0) == batched
 
 
 @pytest.mark.parametrize("label_source", ["predicted", "stored"])
