@@ -13,8 +13,13 @@ prediction.
 
 Each reference gives the same results as its production counterpart on
 every input, except :func:`reference_jacobian_l1`, which agrees to float
-rounding.  The oracle explainers always score the exact objective, so the
-identity holds for the default ``objective="exact"``.
+rounding.  :class:`ReferenceGraphAnalysis` builds its influence from that
+einsum, so no explainer identity rests on the production kernel: the
+explainers read influence only through the ``theta`` threshold and the
+exerted-influence tie key rounded to 9 places, which float rounding moves
+only for a value within an ulp of either cut.  The oracle explainers always
+score the exact objective, so the identity holds for the default
+``objective="exact"``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from repro.core.quality import CoverageState, GraphAnalysis
 from repro.core.streaming import StreamGVEX
 from repro.core.verification import EVerify
 from repro.exceptions import MiningError, ModelError, NodeNotFoundError
-from repro.gnn.influence import _layer_operator
+from repro.gnn.influence import _layer_operator, normalize_influence, resolve_influence_method
 from repro.gnn.models import GNNClassifier
 from repro.gnn.tensor_ops import relu_grad
 from repro.graphs.graph import Graph
@@ -283,14 +288,16 @@ class ReferenceCoverageState(CoverageState):
 
 
 class ReferenceGraphAnalysis(GraphAnalysis):
-    """Boolean-mask scores recomputed per call, one gain per candidate.
-
-    The influence matrix stays the production one: ApproxGVEX breaks gain
-    ties on summed influence, which :func:`reference_jacobian_l1` only
-    matches to float rounding.
-    """
+    """Boolean-mask scores recomputed per call, one gain per candidate,
+    over influence from :func:`reference_jacobian_l1` wherever the
+    configured estimator is the exact Jacobian."""
 
     coverage_state = ReferenceCoverageState
+
+    def _normalized_influence(self, model: GNNClassifier, graph: Graph) -> np.ndarray:
+        if resolve_influence_method(self.config.influence_method, graph) == "exact":
+            return normalize_influence(reference_jacobian_l1(model, graph))
+        return super()._normalized_influence(model, graph)
 
     def influence_score(self, seed_nodes: Iterable[int]) -> int:
         positions = self._positions(seed_nodes)

@@ -277,7 +277,7 @@ class GraphAnalysis:
             return
 
         # I2[u, v]: share of node v's sensitivity attributable to node u (Eq. 4).
-        influence = normalized_influence_matrix(model, graph, method=config.influence_method)
+        influence = self._normalized_influence(model, graph)
         # influenced-by mask (Eq. 5): entry [u, v] true when u influences v.
         self._influence_mask = influence >= config.theta
         # Total influence each node exerts over the graph; the algorithms use
@@ -294,6 +294,10 @@ class GraphAnalysis:
             distances = distances / max_distance
         self._neighbourhood_mask = distances <= config.radius
         self._coverage: CoverageState | None = None
+
+    def _normalized_influence(self, model: GNNClassifier, graph: Graph) -> np.ndarray:
+        """``I2`` (Eq. 4) from the configured estimator."""
+        return normalized_influence_matrix(model, graph, method=self.config.influence_method)
 
     # ------------------------------------------------------------------
     # low-level accessors
@@ -375,11 +379,16 @@ class GraphAnalysis:
         return cached
 
     def exerted_influence(self, node: int) -> float:
-        """Total normalised influence ``sum_v I2(node, v)`` the node exerts."""
+        """Total normalised influence ``sum_v I2(node, v)`` the node exerts.
+
+        Rounded to 9 places, like the gains: the algorithms break ties on
+        it, and a tie must not depend on the summation order of the
+        influence kernel.
+        """
         position = self._index.get(node)
         if position is None:
             return 0.0
-        return float(self._exerted_influence[position])
+        return round(float(self._exerted_influence[position]), 9)
 
     def marginal_gain(self, selected: set[int], candidate: int) -> float:
         """Explainability gain of adding ``candidate`` to ``selected``."""

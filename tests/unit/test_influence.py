@@ -1,20 +1,25 @@
 """Unit tests for the feature-influence estimators (paper Eqs. 3-4)."""
 
 import random
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from repro.core import Configuration, GraphAnalysis
+from repro.core.approx import ApproxGVEX
+from repro.core.streaming import StreamGVEX
 from repro.exceptions import ModelError
-from repro.gnn import GNNClassifier
+from repro.gnn import GNNClassifier, Trainer
 from repro.core.oracles import reference_jacobian_l1
+from repro.datasets import load_dataset
 from repro.gnn.influence import (
-    _layer_operator,
     influence_matrix,
     jacobian_l1_matrix,
+    normalize_influence,
     normalized_influence_matrix,
 )
-from repro.gnn.tensor_ops import relu_grad
 from repro.graphs import Graph
 from repro.graphs.subgraph import induced_subgraph
 from tests.conftest import build_random_typed_graph
@@ -110,56 +115,38 @@ class TestNormalisedInfluence:
         assert normalized_influence_matrix(small_model, Graph()).size == 0
 
 
-def identity_seeded_jacobian(model, graph):
-    """The batched recurrence seeded with the ``n x n*d0 x d0`` identity.
-
-    Every layer, the first included, runs the two GEMMs.  The production
-    kernel skips the identity and must equal this bit for bit.
-    """
-    features = graph.sparse_view().feature_matrix(model.feature_dim)
-    propagation = model.propagation_matrix(graph)
-    num_nodes, feature_dim = features.shape
-    flat = num_nodes * feature_dim
-    jac = np.zeros((num_nodes, flat, feature_dim))
-    for u in range(num_nodes):
-        jac[u, u * feature_dim : (u + 1) * feature_dim, :] = np.eye(feature_dim)
-    hidden = features
-    for layer in model.conv_layers:
-        hidden, cache = layer.forward(hidden, propagation)
-        weight = layer.params["weight"]
-        operator = _layer_operator(layer, cache, num_nodes)
-        in_dim, out_dim = weight.shape
-        contracted = jac.reshape(num_nodes * flat, in_dim) @ weight
-        jac = (operator @ contracted.reshape(num_nodes, flat * out_dim)).reshape(
-            num_nodes, flat, out_dim
-        )
-        if layer.activation:
-            jac = jac * relu_grad(cache["pre_activation"])[:, None, :]
-    return np.abs(jac).reshape(num_nodes, num_nodes, feature_dim * jac.shape[2]).sum(axis=2)
+def node_features(node, feature_dim):
+    return np.resize([float(node % 3), 1.0, 0.5 * node], feature_dim)
 
 
-def isolated_nodes_graph():
+def isolated_nodes_graph(feature_dim=3):
     graph = Graph()
     for node in range(6):
-        graph.add_node(node, "T", [float(node % 3), 1.0, 0.5 * node])
+        graph.add_node(node, "T", node_features(node, feature_dim))
     graph.add_edge(0, 1)
     graph.add_edge(1, 2)
     graph.add_edge(4, 5)  # node 3 is isolated
-    graph.add_node(6, "T", [0.0, 0.0, 2.0])  # so is node 6
+    graph.add_node(6, "T", node_features(6, feature_dim))  # so is node 6
     return graph
 
 
-def single_node_graph():
+def single_node_graph(feature_dim=3):
     graph = Graph()
-    graph.add_node(0, "T", [1.0, -2.0, 0.5])
+    graph.add_node(0, "T", np.resize([1.0, -2.0, 0.5], feature_dim))
     return graph
 
 
-def shuffled_prefixes(seed):
-    graph = build_random_typed_graph(24, seed=seed)
+def shuffled_prefixes(seed, feature_dim=3):
+    graph = build_random_typed_graph(24, seed=seed, num_types=feature_dim)
     order = list(graph.nodes)
     random.Random(seed).shuffle(order)
     return [induced_subgraph(graph, order[:size]) for size in (1, 2, 5, 11, 24)]
+
+
+def without_activation(model, *layers):
+    for index in layers:
+        model.conv_layers[index].activation = False
+    return model
 
 
 JACOBIAN_MODELS = {
@@ -170,6 +157,21 @@ JACOBIAN_MODELS = {
     "gcn-1-layer": lambda: GNNClassifier(
         feature_dim=3, num_classes=2, hidden_dim=4, num_layers=1, seed=5
     ),
+    # d0 > hidden and d0 < hidden: the folded first-layer matrix G[w] is
+    # d0 x hidden, and the tensor's row axis is n * d0.
+    "gcn-wide-input": lambda: GNNClassifier(
+        feature_dim=9, num_classes=2, hidden_dim=3, num_layers=3, seed=6
+    ),
+    "gin-narrow-input": lambda: GNNClassifier(
+        feature_dim=2, num_classes=2, hidden_dim=11, num_layers=4, conv="gin", seed=9
+    ),
+    # Linear layers: a middle gate and the gate folded into the L1 reduction.
+    "gcn-linear-layers": lambda: without_activation(
+        GNNClassifier(feature_dim=3, num_classes=2, hidden_dim=5, num_layers=4, seed=3), 1, 3
+    ),
+    "gcn-1-linear-layer": lambda: without_activation(
+        GNNClassifier(feature_dim=3, num_classes=2, hidden_dim=4, num_layers=1, seed=5), 0
+    ),
 }
 
 
@@ -178,17 +180,16 @@ class TestIdentityFreeJacobian:
     def model(self, request):
         return JACOBIAN_MODELS[request.param]()
 
-    def graphs(self):
-        return [single_node_graph(), isolated_nodes_graph(), *shuffled_prefixes(1), *shuffled_prefixes(4)]
-
-    def test_bit_identical_to_the_identity_seeded_recurrence(self, model):
-        for graph in self.graphs():
-            assert np.array_equal(
-                jacobian_l1_matrix(model, graph), identity_seeded_jacobian(model, graph)
-            )
+    def graphs(self, feature_dim):
+        return [
+            single_node_graph(feature_dim),
+            isolated_nodes_graph(feature_dim),
+            *shuffled_prefixes(1, feature_dim),
+            *shuffled_prefixes(4, feature_dim),
+        ]
 
     def test_matches_the_einsum_reference(self, model):
-        for graph in self.graphs():
+        for graph in self.graphs(model.feature_dim):
             np.testing.assert_allclose(
                 jacobian_l1_matrix(model, graph),
                 reference_jacobian_l1(model, graph),
@@ -197,7 +198,7 @@ class TestIdentityFreeJacobian:
             )
 
     def test_isolated_nodes_only_influence_themselves(self, model):
-        matrix = jacobian_l1_matrix(model, isolated_nodes_graph())
+        matrix = jacobian_l1_matrix(model, isolated_nodes_graph(model.feature_dim))
         for isolated in (3, 6):
             off_diagonal = np.delete(matrix[isolated], isolated)
             assert not off_diagonal.any()
@@ -209,3 +210,89 @@ class TestIdentityFreeJacobian:
             jacobian_l1_matrix(sage, path_graph)
         with pytest.raises(ModelError):
             reference_jacobian_l1(sage, path_graph)
+
+    def test_peak_memory_is_two_tensors(self):
+        """The kernel ping-pongs two ``n x n*d0 x hidden`` buffers and
+        allocates no other full-size temporary."""
+        database = load_dataset("SYN", num_graphs=2, seed=7, base_size=96)
+        graph = database[0]
+        model = GNNClassifier(feature_dim=8, num_classes=2, hidden_dim=16, num_layers=3, seed=0)
+        jacobian_l1_matrix(model, graph)  # warm the view's cached matrices
+        num_nodes = graph.num_nodes()
+        tensor_bytes = num_nodes * num_nodes * model.feature_dim * model.hidden_dim * 8
+        tracemalloc.start()
+        try:
+            jacobian_l1_matrix(model, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 100 <= num_nodes <= 112
+        assert peak <= 2.25 * tensor_bytes
+
+
+class EinsumJacobianAnalysis(GraphAnalysis):
+    """The production analysis with its influence from the einsum oracle."""
+
+    def _normalized_influence(self, model, graph):
+        return normalize_influence(reference_jacobian_l1(model, graph))
+
+
+def on_einsum_jacobian(explainer_class):
+    class OnEinsumJacobian(explainer_class):
+        def _build_analysis(self, graph):
+            return EinsumJacobianAnalysis(self.model, graph, self.config)
+
+    return OnEinsumJacobian
+
+
+VIEW_DATASETS = {
+    "SYN": {"num_graphs": 4, "base_size": 24},
+    "MUT": {"num_graphs": 6},
+    "RED": {"num_graphs": 4, "base_size": 14},
+}
+
+
+@lru_cache(maxsize=None)
+def view_context(dataset):
+    database = load_dataset(dataset, seed=5, **VIEW_DATASETS[dataset])
+    stats = database.statistics()
+    model = GNNClassifier(
+        feature_dim=max(1, int(stats["feature_dim"])),
+        num_classes=max(2, len(database.class_labels())),
+        hidden_dim=16,
+        num_layers=3,
+        seed=0,
+    )
+    Trainer(model, epochs=6, seed=5).fit(database)
+    return database, model
+
+
+def view_signature(view):
+    return (
+        [(subgraph.source_graph.graph_id, sorted(subgraph.nodes)) for subgraph in view.subgraphs],
+        sorted(pattern.canonical_key() for pattern in view.patterns),
+        view.explainability,
+    )
+
+
+class TestViewsIndependentOfJacobianOrder:
+    """Every decision reads the influence through a threshold or a rounded
+    tie key, so the views do not depend on the kernel's summation order."""
+
+    @pytest.mark.parametrize("dataset", sorted(VIEW_DATASETS))
+    @pytest.mark.parametrize(
+        "explainer_class, kwargs",
+        [(ApproxGVEX, {}), (StreamGVEX, {"batch_size": 4})],
+        ids=["approx", "stream"],
+    )
+    def test_views_identical_on_either_kernel(self, dataset, explainer_class, kwargs):
+        database, model = view_context(dataset)
+        config = Configuration(theta=0.08).with_default_bound(2, 8)
+        for label in sorted(set(model.predict_many(database.graphs))):
+            production = explainer_class(model, config, **kwargs).explain_label(
+                database.graphs, label
+            )
+            einsum = on_einsum_jacobian(explainer_class)(model, config, **kwargs).explain_label(
+                database.graphs, label
+            )
+            assert view_signature(production) == view_signature(einsum)
