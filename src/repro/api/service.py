@@ -731,7 +731,7 @@ class ExplanationService:
 
     def stats(self) -> dict[str, Any]:
         """Service health snapshot (dataset, model quality, cache counters)."""
-        from repro.core.caching import cache_aggregate, with_hit_rate
+        from repro.core.caching import with_hit_rate
         from repro.matching.engine import get_engine
 
         with self._lock:
@@ -746,7 +746,6 @@ class ExplanationService:
             "backend": "sparse",
             "cache": with_hit_rate(self.store.stats()),
             "match_engine_cache": with_hit_rate(get_engine().stats()),
-            "label_probability_cache": cache_aggregate("label_probability"),
             "sampling": {"objective": self.config.objective} | sampling_stats(),
             "maintainer": self._maintainer.stats() if self._maintainer else None,
             "wal": (

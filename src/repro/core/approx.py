@@ -13,17 +13,22 @@ For a single source graph the algorithm
 
 The driver :class:`ApproxGVEX` applies this per graph of a label group and
 assembles the per-label :class:`~repro.core.explanation.ExplanationView`.
-Growth and top-up run the CELF engine of :mod:`repro.core.selection`; the
-eager loops it reproduces node for node live in :mod:`repro.core.oracles`,
-for the identity tests and the benchmarks.
+Growth and top-up run the CELF engine of :mod:`repro.core.selection`.  The
+greedy tie-break and the counterfactual swap loop score their candidates
+from probe families (:class:`~repro.graphs.sparse.SubsetFamily`): one
+batched pass per step returns every label probability as an array, and the
+keys are the same float operations the per-subset form computes.  The eager
+loops and the per-subset probes this reproduces node for node live in
+:mod:`repro.core.oracles`, for the identity tests and the benchmarks.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from repro.core.caching import LRUCache, accumulate_cache_stats
+import numpy as np
+
 from repro.core.config import Configuration, CoverageBound
 from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
 from repro.core.quality import GraphAnalysis
@@ -35,57 +40,12 @@ from repro.exceptions import ExplanationError
 from repro.gnn.models import GNNClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
+from repro.graphs.sparse import SubsetFamily
 from repro.graphs.subgraph import induced_subgraph
 from repro.matching.engine import apply_config_cache_size
 from repro.mining.candidates import PatternGenerator
 
-__all__ = ["ApproxGVEX", "SubsetProbabilities"]
-
-
-class SubsetProbabilities:
-    """``P(label | G[nodes])`` for node subsets of one graph, memoised.
-
-    The greedy tie-breakers and the counterfactual swap loop probe many
-    overlapping subsets.  The memo is an LRU capped by the configuration, so
-    memory stays flat on large graphs; each miss is a matrix slice plus a
-    forward pass rather than a materialised subgraph.
-    """
-
-    def __init__(self, model: GNNClassifier, graph: Graph, label: int, capacity: int) -> None:
-        self.model = model
-        self.graph = graph
-        self.label = label
-        self.cache: LRUCache[frozenset[int], float] = LRUCache(capacity)
-
-    def __call__(self, nodes: frozenset[int]) -> float:
-        if not nodes:
-            return 0.0
-        cached = self.cache.get(nodes)
-        if cached is None:
-            cached = float(self.model.predict_proba_nodes(self.graph, nodes)[self.label])
-            self.cache.put(nodes, cached)
-        return cached
-
-    def removal_gain(self, residual: frozenset[int], node: int) -> float:
-        """Drop in the residual graph's probability when ``node`` leaves it."""
-        return self(residual) - self(residual - {node})
-
-    def addition_gain(self, kept: frozenset[int], node: int) -> float:
-        """Rise in the kept subgraph's probability when ``node`` joins it."""
-        return self(kept | {node}) - self(kept)
-
-    def prefetch(self, node_sets: Sequence[frozenset[int]]) -> None:
-        """Fill the memo for many subsets with one batched forward pass."""
-        if self.cache.capacity <= 0:
-            return  # nowhere to store the batch results
-        missing = [
-            nodes for nodes in dict.fromkeys(node_sets) if nodes and nodes not in self.cache
-        ]
-        if len(missing) < 2:
-            return
-        probabilities = self.model.predict_proba_subsets(self.graph, missing)
-        for nodes, row in zip(missing, probabilities):
-            self.cache.put(nodes, float(row[self.label]))
+__all__ = ["ApproxGVEX"]
 
 
 class ApproxGVEX:
@@ -184,23 +144,14 @@ class ApproxGVEX:
             label = self.model.predict(graph)
         bound = self.config.bound_for(label)
         analysis = self._build_analysis(graph)
-        probabilities = SubsetProbabilities(
-            self.model, graph, label, self.config.label_probability_cache_size
-        )
-        try:
-            backup: set[int] = set()
-            selected = self._grow(graph, label, analysis, probabilities, bound, backup)
-            if len(selected) < bound.lower and backup - selected:
-                selected = self._top_up(graph, label, analysis, selected, backup, bound.lower)
-            if len(selected) < bound.lower or not selected:
-                return None
-            if self.config.verification_mode != "none":
-                selected = self._complete_counterfactual(
-                    graph, label, analysis, probabilities, selected
-                )
-        finally:
-            # The memo dies with this call; bank its counters for stats().
-            accumulate_cache_stats("label_probability", probabilities.cache)
+        backup: set[int] = set()
+        selected = self._grow(graph, label, analysis, bound, backup)
+        if len(selected) < bound.lower and backup - selected:
+            selected = self._top_up(graph, label, analysis, selected, backup, bound.lower)
+        if len(selected) < bound.lower or not selected:
+            return None
+        if self.config.verification_mode != "none":
+            selected = self._complete_counterfactual(graph, label, analysis, selected)
         subgraph = ExplanationSubgraph(
             source_graph=graph,
             nodes=selected,
@@ -214,7 +165,6 @@ class ApproxGVEX:
         graph: Graph,
         label: int,
         analysis: GraphAnalysis,
-        probabilities: SubsetProbabilities,
         bound: CoverageBound,
         backup: set[int],
     ) -> set[int]:
@@ -234,16 +184,14 @@ class ApproxGVEX:
         all_nodes = frozenset(graph.nodes)
 
         def choose_tied(tied: Sequence[int], current: set[int]) -> int:
-            residual = all_nodes - current
-            self._prefetch(probabilities, [residual] + [residual - {node} for node in tied])
+            probabilities = self._label_probabilities(graph, label, [(all_nodes - current, tied)])
+            gains = (probabilities[0] - probabilities[1:]).tolist()
             return max(
-                tied,
-                key=lambda node: (
-                    round(probabilities.removal_gain(residual, node), 6),
-                    analysis.exerted_influence(node),
-                    -node,
+                zip(tied, gains),
+                key=lambda pair: (
+                    round(pair[1], 6), analysis.exerted_influence(pair[0]), -pair[0]
                 ),
-            )
+            )[0]
 
         return lazy_greedy_select(
             analysis,
@@ -275,18 +223,26 @@ class ApproxGVEX:
             lambda tied, current: min(tied),
         )
 
-    def _prefetch(
-        self, probabilities: SubsetProbabilities, node_sets: Sequence[frozenset[int]]
-    ) -> None:
-        """Batch the label-probability probes a selection step is about to make."""
-        probabilities.prefetch(node_sets)
+    def _label_probabilities(
+        self,
+        graph: Graph,
+        label: int,
+        parts: Iterable[tuple[Iterable[int], Iterable[int]]],
+    ) -> np.ndarray:
+        """``P(label | G[nodes])`` of every block of a :class:`SubsetFamily`.
+
+        One batched probe; an empty block reads 0.0.
+        """
+        family = SubsetFamily(parts)
+        probabilities = self.model.predict_proba_subsets(graph, family)[:, label]
+        probabilities[family.sizes == 0] = 0.0
+        return probabilities
 
     def _complete_counterfactual(
         self,
         graph: Graph,
         label: int,
         analysis: GraphAnalysis,
-        probabilities: SubsetProbabilities,
         selected: set[int],
     ) -> set[int]:
         """Swap nodes until ``M(G \\ Gs) != l`` holds or one pass is spent.
@@ -306,33 +262,14 @@ class ApproxGVEX:
         swaps_left = len(selected)
         swapped_in: set[int] = set()
         while swaps_left > 0 and not self.everify.is_counterfactual(graph, selected, label):
-            outside = all_nodes - selected
+            outside = sorted(all_nodes - selected)
             # Nodes brought in by earlier swaps are protected from eviction,
             # otherwise the loop can oscillate and never assemble the full
             # counterfactual evidence set.
             evictable = selected - swapped_in
             if not outside or not evictable:
                 break
-            residual = frozenset(outside)
-            current = frozenset(selected)
-            self._prefetch(
-                probabilities,
-                [residual, current]
-                + [residual - {node} for node in outside]
-                + [current | {node} for node in outside],
-            )
-            best_out = max(
-                outside,
-                key=lambda node: (
-                    round(
-                        probabilities.removal_gain(residual, node)
-                        + probabilities.addition_gain(current, node),
-                        6,
-                    ),
-                    analysis.exerted_influence(node),
-                    -node,
-                ),
-            )
+            best_out = self._best_swap_in(graph, label, analysis, selected, outside)
             weakest_in = min(
                 evictable,
                 key=lambda node: (
@@ -345,6 +282,31 @@ class ApproxGVEX:
             swapped_in.add(best_out)
             swaps_left -= 1
         return selected
+
+    def _best_swap_in(
+        self,
+        graph: Graph,
+        label: int,
+        analysis: GraphAnalysis,
+        selected: set[int],
+        outside: Sequence[int],
+    ) -> int:
+        """The outside node with the largest counterfactual plus sufficiency gain.
+
+        One probe family scores every candidate: the residual graph and its
+        leave-one-out sets, then the kept subgraph and its add-one sets.
+        """
+        probabilities = self._label_probabilities(
+            graph, label, [(outside, outside), (selected, outside)]
+        )
+        residual, current = probabilities[0], probabilities[len(outside) + 1]
+        removal = residual - probabilities[1 : len(outside) + 1]
+        addition = probabilities[len(outside) + 2 :] - current
+        gains = (removal + addition).tolist()
+        return max(
+            zip(outside, gains),
+            key=lambda pair: (round(pair[1], 6), analysis.exerted_influence(pair[0]), -pair[0]),
+        )[0]
 
     # ------------------------------------------------------------------
     # per-label view and full view-set drivers

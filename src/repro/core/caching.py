@@ -1,27 +1,21 @@
-"""Bounded memoisation helpers for the explainer hot loops.
+"""Bounded memoisation helpers.
 
-The greedy tie-breakers and the counterfactual swap loop probe many
-overlapping node subsets of the same source graph; memoising the label
-probabilities by node set is what keeps those probes cheap.  On large graphs
-an unbounded memo grows with O(|V|) entries *per greedy round*, so the cache
-is a plain LRU with a configurable capacity
-(:attr:`~repro.core.config.Configuration.label_probability_cache_size`).
+:class:`LRUCache` backs the long-lived memos — the process-wide
+pattern-match memo of :mod:`repro.matching.engine` and the database's
+batched views — so memory stays flat however many keys a workload touches;
+:func:`with_hit_rate` formats any cache's counters for the health endpoints.
+The explainers' subset probes keep no memo: the greedy tie-breakers and the
+counterfactual swap loop send each step's probes as one
+:class:`~repro.graphs.sparse.SubsetFamily` and score it in one batched pass.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from collections.abc import Hashable
 from typing import Generic, TypeVar
 
-__all__ = [
-    "LRUCache",
-    "accumulate_cache_stats",
-    "cache_aggregate",
-    "reset_cache_aggregates",
-    "with_hit_rate",
-]
+__all__ = ["LRUCache", "with_hit_rate"]
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -33,7 +27,7 @@ class LRUCache(Generic[K, V]):
     """A minimal least-recently-used mapping.
 
     ``capacity <= 0`` disables storage entirely (every lookup misses), which
-    is the behaviour ``label_probability_cache_size=0`` requests.
+    is the behaviour ``match_cache_size=0`` requests.
     """
 
     __slots__ = ("capacity", "_data", "hits", "misses")
@@ -90,38 +84,6 @@ class LRUCache(Generic[K, V]):
 
     def stats(self) -> dict[str, int]:
         return {"size": len(self._data), "hits": self.hits, "misses": self.misses}
-
-
-# ----------------------------------------------------------------------
-# process-wide counter aggregation
-# ----------------------------------------------------------------------
-# Some hot caches are deliberately short-lived (the label-probability memo
-# exists for one ``explain_graph`` call), so their counters vanish with the
-# object.  Call sites fold them into this registry on the way out, and the
-# service health endpoint reads the running totals.
-_AGGREGATES: dict[str, dict[str, int]] = {}
-_AGGREGATES_LOCK = threading.Lock()
-
-
-def accumulate_cache_stats(name: str, cache: "LRUCache") -> None:
-    """Fold a cache's hit/miss counters into the aggregate under ``name``."""
-    with _AGGREGATES_LOCK:
-        bucket = _AGGREGATES.setdefault(name, {"hits": 0, "misses": 0})
-        bucket["hits"] += cache.hits
-        bucket["misses"] += cache.misses
-
-
-def cache_aggregate(name: str) -> dict[str, object]:
-    """Running totals (plus hit rate) accumulated under ``name``."""
-    with _AGGREGATES_LOCK:
-        bucket = dict(_AGGREGATES.get(name, {"hits": 0, "misses": 0}))
-    return with_hit_rate(bucket)
-
-
-def reset_cache_aggregates() -> None:
-    """Zero every aggregate (test isolation)."""
-    with _AGGREGATES_LOCK:
-        _AGGREGATES.clear()
 
 
 def with_hit_rate(stats: dict) -> dict[str, object]:

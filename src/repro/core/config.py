@@ -27,9 +27,14 @@ _VERIFICATION_MODES = ("strict", "consistent", "none")
 _INFLUENCE_METHODS = ("auto", "propagation", "exact")
 _OBJECTIVES = ("exact", "sampled")
 # Entries every canonical dict carries at a fixed value.  They once named
-# two interchangeable selection loops (both gave identical views); pinning
-# them keeps every persisted fingerprint byte-stable.
-_PINNED_CANONICAL = {"selection_strategy": "lazy", "stream_batching": "auto"}
+# two interchangeable selection loops (both gave identical views) and the
+# capacity of a label-probability memo that probe families made obsolete;
+# pinning them keeps every persisted fingerprint byte-stable.
+_PINNED_CANONICAL = {
+    "selection_strategy": "lazy",
+    "stream_batching": "auto",
+    "label_probability_cache_size": 8192,
+}
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,6 @@ class Configuration:
         Caps forwarded to the pattern generator (``PGen``).
     diversity_hops:
         r-hop neighbourhood radius handed to ``IncPGen`` in streaming mode.
-    label_probability_cache_size:
-        LRU capacity of the per-graph memo of subgraph label probabilities
-        used by the greedy tie-breakers and the counterfactual swap loop
-        (``0`` disables caching; the cap keeps memory flat on large graphs).
     match_cache_size:
         LRU capacity of the *process-wide* pattern-match memo
         (:mod:`repro.matching.engine`), keyed by
@@ -173,7 +174,6 @@ class Configuration:
     max_pattern_size: int = 4
     max_pattern_candidates: int = 32
     diversity_hops: int = 1
-    label_probability_cache_size: int = 8192
     match_cache_size: int = 4096
     seed: int = 0
     degraded_reads: bool = False
@@ -218,8 +218,6 @@ class Configuration:
             raise ConfigurationError("max_pattern_candidates must be at least 1")
         if self.diversity_hops < 0:
             raise ConfigurationError("diversity_hops must be non-negative")
-        if self.label_probability_cache_size < 0:
-            raise ConfigurationError("label_probability_cache_size must be non-negative")
         if self.match_cache_size < 0:
             raise ConfigurationError(
                 f"match_cache_size must be non-negative, got {self.match_cache_size}; "
@@ -322,7 +320,6 @@ class Configuration:
             "influence_method": self.influence_method,
             "verification_mode": self.verification_mode,
             **_PINNED_CANONICAL,
-            "label_probability_cache_size": self.label_probability_cache_size,
             "match_cache_size": self.match_cache_size,
             "seed": self.seed,
         } | self._sampling_dict()

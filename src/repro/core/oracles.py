@@ -6,7 +6,8 @@ identity tests and the benchmark A/B arms; production code must not import
 it.  The kernels are the ``reference_*`` functions, :class:`ReferenceEVerify`
 (one materialised ``G[nodes]`` per probe, no batching) and
 :class:`ReferenceGraphAnalysis` (boolean masks, one gain per candidate).
-:class:`ReferenceApproxGVEX` (eager greedy loops, per-subset probes) and
+:class:`ReferenceApproxGVEX` (eager greedy loops, one probe per subset
+through :class:`SubsetProbabilities`) and
 :class:`ReferenceStreamGVEX` (the per-node stream pass, ``IncUpdateVS`` case
 (b) before case (c)) compose them, with eager top-up and per-graph label
 prediction.
@@ -29,7 +30,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.approx import ApproxGVEX, SubsetProbabilities
+from repro.core.approx import ApproxGVEX
 from repro.core.config import CoverageBound
 from repro.core.maintenance import NodeStreamProcessor
 from repro.core.quality import CoverageState, GraphAnalysis
@@ -367,6 +368,32 @@ class _ReferenceStack:
         return [self.model.predict(graph) for graph in graphs]
 
 
+class SubsetProbabilities:
+    """``P(label | G[nodes])`` for node subsets of one graph, one probe per
+    new subset, memoised by node set; the empty set reads 0.0."""
+
+    def __init__(self, model: GNNClassifier, graph: Graph, label: int) -> None:
+        self.model = model
+        self.graph = graph
+        self.label = label
+        self.memo: dict[frozenset[int], float] = {}
+
+    def __call__(self, nodes: frozenset[int]) -> float:
+        if not nodes:
+            return 0.0
+        if nodes not in self.memo:
+            self.memo[nodes] = float(self.model.predict_proba_nodes(self.graph, nodes)[self.label])
+        return self.memo[nodes]
+
+    def removal_gain(self, residual: frozenset[int], node: int) -> float:
+        """Drop in the residual graph's probability when ``node`` leaves it."""
+        return self(residual) - self(residual - {node})
+
+    def addition_gain(self, kept: frozenset[int], node: int) -> float:
+        """Rise in the kept subgraph's probability when ``node`` joins it."""
+        return self(kept | {node}) - self(kept)
+
+
 class ReferenceApproxGVEX(_ReferenceStack, ApproxGVEX):
     """ApproxGVEX with the eager greedy loops and per-subset probes."""
 
@@ -375,10 +402,10 @@ class ReferenceApproxGVEX(_ReferenceStack, ApproxGVEX):
         graph: Graph,
         label: int,
         analysis: GraphAnalysis,
-        probabilities: SubsetProbabilities,
         bound: CoverageBound,
         backup: set[int],
     ) -> set[int]:
+        probabilities = SubsetProbabilities(self.model, graph, label)
         all_nodes = frozenset(graph.nodes)
         selected: set[int] = set()
         while len(selected) < bound.upper and all_nodes - selected:
@@ -403,10 +430,28 @@ class ReferenceApproxGVEX(_ReferenceStack, ApproxGVEX):
             selected.add(candidates[best])
         return selected
 
-    def _prefetch(
-        self, probabilities: SubsetProbabilities, node_sets: Sequence[frozenset[int]]
-    ) -> None:
-        """No batching: every probe runs when it is first asked for."""
+    def _best_swap_in(
+        self,
+        graph: Graph,
+        label: int,
+        analysis: GraphAnalysis,
+        selected: set[int],
+        outside: Sequence[int],
+    ) -> int:
+        probabilities = SubsetProbabilities(self.model, graph, label)
+        residual, current = frozenset(outside), frozenset(selected)
+        return max(
+            outside,
+            key=lambda node: (
+                round(
+                    probabilities.removal_gain(residual, node)
+                    + probabilities.addition_gain(current, node),
+                    6,
+                ),
+                analysis.exerted_influence(node),
+                -node,
+            ),
+        )
 
 
 class ReferenceStreamProcessor(_ReferenceStack, NodeStreamProcessor):

@@ -21,17 +21,30 @@ from repro.gnn.layers import DenseLayer, GCNLayer, GINLayer, SAGELayer
 from repro.gnn.pooling import make_pooling
 from repro.gnn.tensor_ops import normalize_adjacency, softmax
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import BatchedGraphView
+from repro.graphs.sparse import BatchedGraphView, SharedOperatorBatch, SubsetFamily
 
 __all__ = ["GNNClassifier"]
 
 _CONV_TYPES = ("gcn", "gin", "sage")
 
-# Node-subset inference switches from dense submatrix aggregation to
-# scipy-CSR aggregation above this subset size: message passing then costs
+# Node-subset inference switches from dense submatrix aggregation to a
+# one-block CSR batch above this subset size: message passing then costs
 # O(|E| * d) per layer instead of O(k^2 * d), which is what keeps large
 # residual-graph (counterfactual) probes cheap.
 _SPARSE_FORWARD_MIN_NODES = 64
+
+# A part of a probe family (its base and the sets one node away from it)
+# is dense when its blocks fill at least this share of the (node, block)
+# grid it spans, and then runs over one shared operator; a sparser part —
+# an add-one family on a large graph — runs on the block-diagonal gather,
+# which pays per covered row (crossover measured between 0.62 and 0.70).
+_SHARED_OPERATOR_MIN_FILL = 2 / 3
+
+# Splitting a family between the shared operator and the gather costs a
+# second kernel call, which pays once the dense parts span this many grid
+# rows (measured between 1.2k and 2.6k); a smaller mixed family is gathered
+# whole.
+_SHARED_SPLIT_MIN_ROWS = 2048
 
 # Block-diagonal batched inference pays a constant assembly cost (stacked
 # features + batched CSR); below this many total node rows the sequential
@@ -236,16 +249,21 @@ class GNNClassifier:
     # ------------------------------------------------------------------
     # database-level batched inference
     # ------------------------------------------------------------------
-    def _batched_logits(self, batch: BatchedGraphView) -> np.ndarray | None:
-        """One message-passing pass over a block-diagonal batch.
+    def _batched_logits(self, batch: BatchedGraphView | SharedOperatorBatch) -> np.ndarray | None:
+        """One message-passing pass over a batch: one logits row per block.
 
-        Returns one logits row per block, or ``None`` when the batched
-        operator is unavailable (no scipy) so callers can fall back to
-        per-graph inference.
+        ``None`` when the batched operator is unavailable (no scipy), so
+        callers can fall back to per-graph inference.
         """
+        pooled = self._batched_pooled(batch)
+        if pooled is None:
+            return None
+        return pooled @ self.head.params["weight"] + self.head.params["bias"]
+
+    def _batched_pooled(self, batch: BatchedGraphView | SharedOperatorBatch) -> np.ndarray | None:
+        """The pooled readout of every block of a batch, before the head."""
         if batch.total_rows == 0:
-            pooled = np.zeros((batch.num_blocks, self.hidden_dim))
-            return pooled @ self.head.params["weight"] + self.head.params["bias"]
+            return np.zeros((batch.num_blocks, self.hidden_dim))
         hidden = batch.feature_matrix(self.feature_dim)
         for layer in self.conv_layers:
             if isinstance(layer, GCNLayer):
@@ -266,9 +284,8 @@ class GNNClassifier:
                     hidden @ layer.params["weight_self"]
                     + neighbours @ layer.params["weight_neigh"]
                 )
-            hidden = np.maximum(pre, 0.0) if layer.activation else pre
-        pooled = batch.segment_pool(hidden, self.pooling_name)
-        return pooled @ self.head.params["weight"] + self.head.params["bias"]
+            hidden = np.maximum(pre, 0.0, out=pre) if layer.activation else pre
+        return batch.segment_pool(hidden, self.pooling_name)
 
     def _batch_of(self, graphs: Sequence[Graph]) -> BatchedGraphView:
         batched_view = getattr(graphs, "batched_view", None)
@@ -319,11 +336,11 @@ class GNNClassifier:
         if rows.size == 0:
             logits, _ = self.head.forward(np.zeros(self.hidden_dim))
             return logits
+        if rows.size > _SPARSE_FORWARD_MIN_NODES:
+            logits = self._batched_logits(BatchedGraphView.from_subsets(view, rows, [rows.size]))
+            if logits is not None:
+                return logits[0]
         hidden = view.feature_matrix(self.feature_dim)[rows]
-        if rows.size > _SPARSE_FORWARD_MIN_NODES and self.conv in ("gcn", "gin"):
-            sparse_logits = self._subset_logits_scipy(view, rows, hidden)
-            if sparse_logits is not None:
-                return sparse_logits
         if self.conv == "gcn":
             # D^-1/2 (A+I) D^-1/2 on the fresh submatrix, in place; the
             # self loops guarantee every degree is at least one.
@@ -351,34 +368,6 @@ class GNNClassifier:
             pooled, _ = self.pooling.forward(hidden)
         return pooled @ self.head.params["weight"] + self.head.params["bias"]
 
-    def _subset_logits_scipy(self, view, rows: np.ndarray, hidden: np.ndarray) -> np.ndarray | None:
-        """CSR message passing for large node subsets (or ``None`` sans scipy)."""
-        adjacency = view.scipy_adjacency()
-        if adjacency is None:
-            return None
-        from scipy import sparse as scipy_sparse
-
-        operator = adjacency[rows][:, rows]
-        if self.conv == "gcn":
-            operator = operator + scipy_sparse.identity(rows.size, format="csr")
-            inv_sqrt = np.asarray(operator.sum(axis=1)).ravel() ** -0.5
-            scaling = scipy_sparse.diags(inv_sqrt)
-            operator = scaling @ operator @ scaling
-        for layer in self.conv_layers:
-            if isinstance(layer, GCNLayer):
-                pre = (operator @ hidden) @ layer.params["weight"]
-            else:  # GINLayer (guarded by the caller)
-                aggregated = (1.0 + layer.epsilon) * hidden + operator @ hidden
-                pre = aggregated @ layer.params["weight"]
-            hidden = np.maximum(pre, 0.0) if layer.activation else pre
-        if self.pooling_name == "max":
-            pooled = hidden.max(axis=0)
-        elif self.pooling_name == "mean":
-            pooled = hidden.mean(axis=0)
-        else:
-            pooled, _ = self.pooling.forward(hidden)
-        return pooled @ self.head.params["weight"] + self.head.params["bias"]
-
     def predict_node_subset(self, graph: Graph, nodes: Iterable[int]) -> int:
         """Label of the node-induced subgraph ``G[nodes]`` without building it.
 
@@ -397,26 +386,78 @@ class GNNClassifier:
 
         All subsets are sliced out of the graph's cached CSR view, stacked
         into one block-diagonal operator, and classified in a single
-        message-passing pass — the ``EVerify`` batch-probe hot path.  Falls
-        back to sequential subset inference for small batches or when scipy
-        is unavailable.
+        message-passing pass — the ``EVerify`` batch-probe hot path.  A
+        :class:`SubsetFamily` is never materialised: its parts run on one
+        shared operator or one gather (:meth:`_family_logits`).  Falls back
+        to sequential subset inference for small batches or when scipy is
+        unavailable.
         """
-        if len(node_sets) > 1 and sum(len(nodes) for nodes in node_sets) >= _BATCH_MIN_ROWS:
+        family = node_sets if isinstance(node_sets, SubsetFamily) else None
+        if family is not None:
+            rows = int(family.sizes.sum())
+        else:
+            rows = sum(len(nodes) for nodes in node_sets)
+        if len(node_sets) > 1 and rows >= _BATCH_MIN_ROWS:
             view = graph.sparse_view()
-            # One id -> row lookup over every set, then one segmented sort
-            # and dedupe of the keys ``set * n + row``.
-            ids = list(chain.from_iterable(node_sets))
-            rows = np.fromiter(map(view.index.__getitem__, ids), dtype=np.int64, count=len(ids))
-            bases = np.arange(len(node_sets), dtype=np.int64) * view.num_nodes
-            keys = np.sort(np.repeat(bases, [len(nodes) for nodes in node_sets]) + rows)
-            segments, rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], view.num_nodes)
-            sizes = np.bincount(segments, minlength=len(node_sets))
-            logits = self._batched_logits(BatchedGraphView.from_subsets(view, rows, sizes))
+            if family is not None:
+                logits = self._family_logits(view, family)
+            else:
+                logits = self._batched_logits(self._subsets_batch(view, node_sets))
             if logits is not None:
                 return logits
         if not node_sets:
             return np.zeros((0, self.num_classes))
         return np.stack([self._subset_logits(graph, nodes) for nodes in node_sets])
+
+    def _subsets_batch(self, view, node_sets: Sequence[Iterable[int]]) -> BatchedGraphView:
+        """The block-diagonal gather of arbitrary node sets of one view."""
+        # One id -> row lookup over every set, then one segmented sort and
+        # dedupe of the keys ``set * n + row``.
+        ids = list(chain.from_iterable(node_sets))
+        rows = np.fromiter(map(view.index.__getitem__, ids), dtype=np.int64, count=len(ids))
+        bases = np.arange(len(node_sets), dtype=np.int64) * view.num_nodes
+        keys = np.sort(np.repeat(bases, [len(nodes) for nodes in node_sets]) + rows)
+        segments, rows = np.divmod(keys[np.diff(keys, prepend=-1) != 0], view.num_nodes)
+        return BatchedGraphView.from_subsets(
+            view, rows, np.bincount(segments, minlength=len(node_sets))
+        )
+
+    def _family_logits(self, view, family: SubsetFamily) -> np.ndarray | None:
+        """Logits of every block of a probe family (``None`` sans scipy).
+
+        Each part whose blocks fill its (node, block) grid densely enough —
+        every leave-one-out part — joins one :class:`SharedOperatorBatch`;
+        the sparse parts share one block-diagonal gather, which takes the
+        whole family when its dense parts are too small to pay for a second
+        call.  Either way a block reads as its node-induced subgraph does in
+        the gather.
+        """
+        membership = family.membership(view)
+        sizes = family.sizes
+        shared = np.zeros(len(family), dtype=bool)
+        shared_grid = 0
+        for start, stop in family.spans():
+            grid = np.count_nonzero(membership[start:stop].any(axis=0)) * (stop - start)
+            if sizes[start:stop].sum() >= _SHARED_OPERATOR_MIN_FILL * grid:
+                shared[start:stop] = True
+                shared_grid += grid
+        if not shared.all() and shared_grid < _SHARED_SPLIT_MIN_ROWS:
+            shared[:] = False
+        pooled = np.empty((len(family), self.hidden_dim))
+        if shared.any():
+            part = self._batched_pooled(SharedOperatorBatch(view, membership[shared]))
+            if part is None:
+                return None
+            pooled[shared] = part
+        if not shared.all():
+            rows = np.nonzero(membership[~shared])[1]
+            part = self._batched_pooled(BatchedGraphView.from_subsets(view, rows, sizes[~shared]))
+            if part is None:
+                return None
+            pooled[~shared] = part
+        # One head product over the blocks in family order, as one gather
+        # of the whole family would run it.
+        return pooled @ self.head.params["weight"] + self.head.params["bias"]
 
     def predict_subsets(self, graph: Graph, node_sets: Sequence[Iterable[int]]) -> list[int]:
         """Labels of many node-induced subgraphs of one graph (one pass)."""

@@ -205,3 +205,111 @@ class TestBatchedInference:
         np.testing.assert_array_equal(
             trained_mut_model.batch_logits([graph]), [trained_mut_model.predict_logits(graph)]
         )
+
+
+class TestSubsetFamilies:
+    """Probe families against the same node sets passed as a plain list."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self, mut_database):
+        from repro.datasets.synthetic import make_ba_motif_synthetic
+
+        return {
+            "mut": mut_database[0],
+            "syn": make_ba_motif_synthetic(num_graphs=2, seed=1, base_size=96)[0],
+        }
+
+    @staticmethod
+    def _model(graph, conv="gcn", pooling="max", last_activation=True):
+        model = GNNClassifier(
+            feature_dim=graph.sparse_view().resolve_feature_dim(None), num_classes=2,
+            hidden_dim=8, num_layers=3, conv=conv, pooling=pooling, seed=3,
+        )
+        model.conv_layers[-1].activation = last_activation
+        return model
+
+    @staticmethod
+    def _swap_step(graph):
+        """The swap loop's probes: residual leave-one-out, kept add-one."""
+        from repro.graphs.sparse import SubsetFamily
+
+        selected = set(graph.nodes[::3][:5])
+        outside = [node for node in graph.nodes if node not in selected]
+        return SubsetFamily([(outside, outside), (selected, outside)])
+
+    def test_family_is_a_lazy_sequence_of_its_node_sets(self):
+        from repro.graphs.sparse import SubsetFamily
+
+        family = SubsetFamily([({1, 2, 3}, [2, 4]), ({5}, [5])])
+        expected = [
+            frozenset({1, 2, 3}), frozenset({1, 3}), frozenset({1, 2, 3, 4}),
+            frozenset({5}), frozenset(),
+        ]
+        assert len(family) == 5
+        assert list(family) == expected
+        assert family[-1] == frozenset()
+        assert family.sizes.tolist() == [len(nodes) for nodes in expected]
+        with pytest.raises(IndexError):
+            family[5]
+
+    @pytest.mark.parametrize("size", ["mut", "syn"])
+    @pytest.mark.parametrize("last_activation", [True, False], ids=["relu", "linear"])
+    @pytest.mark.parametrize("pooling", ["max", "mean", "sum"])
+    @pytest.mark.parametrize("conv", ["gcn", "gin", "sage"])
+    def test_family_logits_equal_materialised_sets(
+        self, graphs, monkeypatch, size, conv, pooling, last_activation
+    ):
+        import repro.gnn.models as models_module
+
+        # Batch the MUT-sized family too, so both sides run the batch kernels.
+        monkeypatch.setattr(models_module, "_BATCH_MIN_ROWS", 0)
+        graph = graphs[size]
+        model = self._model(graph, conv, pooling, last_activation)
+        family = self._swap_step(graph)
+        np.testing.assert_array_equal(
+            model.subsets_logits(graph, family), model.subsets_logits(graph, list(family))
+        )
+
+    @pytest.mark.parametrize("fill", [0.0, 2.0], ids=["all-shared", "all-gathered"])
+    @pytest.mark.parametrize("conv", ["gcn", "gin", "sage"])
+    def test_either_kernel_runs_any_family(self, graphs, monkeypatch, conv, fill):
+        """The shared operator also reads sparse parts right, and the gather dense ones."""
+        import repro.gnn.models as models_module
+
+        graph = graphs["syn"]
+        model = self._model(graph, conv, "mean")
+        family = self._swap_step(graph)
+        chosen = model.subsets_logits(graph, family)
+        monkeypatch.setattr(models_module, "_SHARED_OPERATOR_MIN_FILL", fill)
+        np.testing.assert_array_equal(model.subsets_logits(graph, family), chosen)
+
+    def test_small_family_takes_the_sequential_path(self, graphs):
+        graph = graphs["mut"]
+        model = self._model(graph)
+        family = self._swap_step(graph)
+        assert family.sizes.sum() < 128
+        expected = np.stack([model._subset_logits(graph, nodes) for nodes in family])
+        np.testing.assert_array_equal(model.subsets_logits(graph, family), expected)
+
+    def test_one_node_base_reads_zero_for_its_empty_block(self, graphs):
+        from repro.core.approx import ApproxGVEX
+
+        graph = graphs["syn"]
+        model = self._model(graph)
+        node = graph.nodes[0]
+        probabilities = ApproxGVEX(model)._label_probabilities(graph, 1, [({node}, [node])])
+        assert probabilities[1] == 0.0
+        assert probabilities[0] == model.predict_proba_nodes(graph, {node})[1]
+
+    def test_large_single_probe_matches_the_one_block_batch(self, graphs):
+        pytest.importorskip("scipy.sparse")
+        from repro.graphs import BatchedGraphView
+
+        graph = graphs["syn"]
+        model = self._model(graph, "sage")
+        nodes = graph.nodes[:90]
+        view = graph.sparse_view()
+        batch = BatchedGraphView.from_subsets(view, view.rows_for(nodes), [len(nodes)])
+        np.testing.assert_array_equal(
+            model._subset_logits(graph, nodes), model._batched_logits(batch)[0]
+        )
