@@ -21,7 +21,7 @@ from repro.gnn.layers import DenseLayer, GCNLayer, GINLayer, SAGELayer
 from repro.gnn.pooling import make_pooling
 from repro.gnn.tensor_ops import normalize_adjacency, softmax
 from repro.graphs.graph import Graph
-from repro.graphs.sparse import BatchedGraphView, SharedOperatorBatch, SubsetFamily
+from repro.graphs.sparse import BatchedGraphView, SubsetFamily
 
 __all__ = ["GNNClassifier"]
 
@@ -32,19 +32,6 @@ _CONV_TYPES = ("gcn", "gin", "sage")
 # O(|E| * d) per layer instead of O(k^2 * d), which is what keeps large
 # residual-graph (counterfactual) probes cheap.
 _SPARSE_FORWARD_MIN_NODES = 64
-
-# A part of a probe family (its base and the sets one node away from it)
-# is dense when its blocks fill at least this share of the (node, block)
-# grid it spans, and then runs over one shared operator; a sparser part —
-# an add-one family on a large graph — runs on the block-diagonal gather,
-# which pays per covered row (crossover measured between 0.62 and 0.70).
-_SHARED_OPERATOR_MIN_FILL = 2 / 3
-
-# Splitting a family between the shared operator and the gather costs a
-# second kernel call, which pays once the dense parts span this many grid
-# rows (measured between 1.2k and 2.6k); a smaller mixed family is gathered
-# whole.
-_SHARED_SPLIT_MIN_ROWS = 2048
 
 # Block-diagonal batched inference pays a constant assembly cost (stacked
 # features + batched CSR); below this many total node rows the sequential
@@ -249,21 +236,16 @@ class GNNClassifier:
     # ------------------------------------------------------------------
     # database-level batched inference
     # ------------------------------------------------------------------
-    def _batched_logits(self, batch: BatchedGraphView | SharedOperatorBatch) -> np.ndarray | None:
-        """One message-passing pass over a batch: one logits row per block.
+    def _batched_logits(self, batch: BatchedGraphView) -> np.ndarray | None:
+        """One message-passing pass over a block-diagonal batch.
 
-        ``None`` when the batched operator is unavailable (no scipy), so
-        callers can fall back to per-graph inference.
+        Returns one logits row per block, or ``None`` when the batched
+        operator is unavailable (no scipy) so callers can fall back to
+        per-graph inference.
         """
-        pooled = self._batched_pooled(batch)
-        if pooled is None:
-            return None
-        return pooled @ self.head.params["weight"] + self.head.params["bias"]
-
-    def _batched_pooled(self, batch: BatchedGraphView | SharedOperatorBatch) -> np.ndarray | None:
-        """The pooled readout of every block of a batch, before the head."""
         if batch.total_rows == 0:
-            return np.zeros((batch.num_blocks, self.hidden_dim))
+            pooled = np.zeros((batch.num_blocks, self.hidden_dim))
+            return pooled @ self.head.params["weight"] + self.head.params["bias"]
         hidden = batch.feature_matrix(self.feature_dim)
         for layer in self.conv_layers:
             if isinstance(layer, GCNLayer):
@@ -285,7 +267,8 @@ class GNNClassifier:
                     + neighbours @ layer.params["weight_neigh"]
                 )
             hidden = np.maximum(pre, 0.0, out=pre) if layer.activation else pre
-        return batch.segment_pool(hidden, self.pooling_name)
+        pooled = batch.segment_pool(hidden, self.pooling_name)
+        return pooled @ self.head.params["weight"] + self.head.params["bias"]
 
     def _batch_of(self, graphs: Sequence[Graph]) -> BatchedGraphView:
         batched_view = getattr(graphs, "batched_view", None)
@@ -324,9 +307,12 @@ class GNNClassifier:
         """Logits of ``G[nodes]`` straight from the cached view.
 
         A lean inference-only pass: no backprop caches, minimal temporaries,
-        in-place GCN normalisation.  Every operation mirrors the reference
-        ``forward_matrices`` pipeline in the same order, so the logits are
-        bit-identical to predicting on a materialised induced subgraph.
+        in-place GCN normalisation.  Up to ``_SPARSE_FORWARD_MIN_NODES``
+        nodes every operation mirrors the reference ``forward_matrices``
+        pipeline in the same order, so the logits are bit-identical to
+        predicting on a materialised induced subgraph.  A larger subset runs
+        as a one-block :class:`BatchedGraphView` and equals that batch's
+        logits bit for bit (its pooling and GCN scaling round differently).
         """
         view = graph.sparse_view()
         index = view.index
@@ -387,8 +373,8 @@ class GNNClassifier:
         All subsets are sliced out of the graph's cached CSR view, stacked
         into one block-diagonal operator, and classified in a single
         message-passing pass — the ``EVerify`` batch-probe hot path.  A
-        :class:`SubsetFamily` is never materialised: its parts run on one
-        shared operator or one gather (:meth:`_family_logits`).  Falls back
+        :class:`SubsetFamily` is never materialised: its blocks are gathered
+        from its membership matrix (:meth:`_family_logits`).  Falls back
         to sequential subset inference for small batches or when scipy is
         unavailable.
         """
@@ -425,39 +411,12 @@ class GNNClassifier:
     def _family_logits(self, view, family: SubsetFamily) -> np.ndarray | None:
         """Logits of every block of a probe family (``None`` sans scipy).
 
-        Each part whose blocks fill its (node, block) grid densely enough —
-        every leave-one-out part — joins one :class:`SharedOperatorBatch`;
-        the sparse parts share one block-diagonal gather, which takes the
-        whole family when its dense parts are too small to pay for a second
-        call.  Either way a block reads as its node-induced subgraph does in
-        the gather.
+        The family's membership matrix lists each block's rows in order, so
+        its nonzero columns feed the block-diagonal gather directly: no node
+        set is built, hashed or mapped back to rows id by id.
         """
-        membership = family.membership(view)
-        sizes = family.sizes
-        shared = np.zeros(len(family), dtype=bool)
-        shared_grid = 0
-        for start, stop in family.spans():
-            grid = np.count_nonzero(membership[start:stop].any(axis=0)) * (stop - start)
-            if sizes[start:stop].sum() >= _SHARED_OPERATOR_MIN_FILL * grid:
-                shared[start:stop] = True
-                shared_grid += grid
-        if not shared.all() and shared_grid < _SHARED_SPLIT_MIN_ROWS:
-            shared[:] = False
-        pooled = np.empty((len(family), self.hidden_dim))
-        if shared.any():
-            part = self._batched_pooled(SharedOperatorBatch(view, membership[shared]))
-            if part is None:
-                return None
-            pooled[shared] = part
-        if not shared.all():
-            rows = np.nonzero(membership[~shared])[1]
-            part = self._batched_pooled(BatchedGraphView.from_subsets(view, rows, sizes[~shared]))
-            if part is None:
-                return None
-            pooled[~shared] = part
-        # One head product over the blocks in family order, as one gather
-        # of the whole family would run it.
-        return pooled @ self.head.params["weight"] + self.head.params["bias"]
+        rows = np.nonzero(family.membership(view))[1]
+        return self._batched_logits(BatchedGraphView.from_subsets(view, rows, family.sizes))
 
     def predict_subsets(self, graph: Graph, node_sets: Sequence[Iterable[int]]) -> list[int]:
         """Labels of many node-induced subgraphs of one graph (one pass)."""

@@ -37,7 +37,7 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graphs.graph import Graph
 
-__all__ = ["BatchedGraphView", "SharedOperatorBatch", "SparseGraphView", "SubsetFamily"]
+__all__ = ["BatchedGraphView", "SparseGraphView", "SubsetFamily"]
 
 
 class SparseGraphView:
@@ -584,7 +584,21 @@ class BatchedGraphView:
         Empty blocks pool to zero rows, matching the empty-graph
         short-circuit of the per-graph forward pass.
         """
-        return _segment_pool(hidden, self.offsets, mode)
+        pooled = np.zeros((self.num_blocks, hidden.shape[1]))
+        sizes = np.diff(self.offsets)
+        nonempty = sizes > 0
+        if not nonempty.any():
+            return pooled
+        # Empty segments occupy no rows, so the spans between consecutive
+        # non-empty starts align exactly with block contents.
+        starts = self.offsets[:-1][nonempty]
+        if mode == "max":
+            pooled[nonempty] = np.maximum.reduceat(hidden, starts, axis=0)
+        elif mode == "mean":
+            pooled[nonempty] = np.add.reduceat(hidden, starts, axis=0) / sizes[nonempty][:, None]
+        else:
+            pooled[nonempty] = np.add.reduceat(hidden, starts, axis=0)
+        return pooled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BatchedGraphView blocks={self.num_blocks} rows={self.total_rows}>"
@@ -633,129 +647,12 @@ class SubsetFamily(Sequence[frozenset[int]]):
         node = nodes[slot - 1]
         return base - {node} if node in base else base | {node}
 
-    def spans(self) -> list[tuple[int, int]]:
-        """``(start, stop)`` block range of every part."""
-        return list(zip(self.offsets[:-1], self.offsets[1:]))
-
     def membership(self, view: SparseGraphView) -> np.ndarray:
         """``(len(self), view.num_nodes)`` booleans: block ``b`` holds row ``r``."""
         member = np.zeros((len(self), view.num_nodes), dtype=bool)
         index = view.index
-        for (base, nodes), (start, stop) in zip(self.parts, self.spans()):
+        for (base, nodes), start, stop in zip(self.parts, self.offsets, self.offsets[1:]):
             member[start:stop, view.rows_for(base)] = True
             toggled = np.fromiter(map(index.__getitem__, nodes), dtype=np.int64, count=len(nodes))
             member[np.arange(start + 1, stop), toggled] ^= True
         return member
-
-
-class SharedOperatorBatch:
-    """Many node subsets of one node set ``U``, run over one shared operator.
-
-    When every block covers most of ``U`` — a leave-one-out family — a
-    :class:`BatchedGraphView` would stack ``m`` near-copies of one graph.
-    This batch keeps one ``k x k`` CSR of ``U`` instead and lays hidden rows
-    out as ``(node, block)``: row ``i * m + b`` is node ``U[i]`` in block
-    ``b``, so one sparse product with the ``k x (m * d)`` view of a hidden
-    matrix aggregates every block at once.  A node absent from a block gets
-    GCN scale 0, a zeroed input to every other aggregation, and no part in
-    pooling, so each block reads, operation for operation, as its
-    node-induced subgraph does in a :class:`BatchedGraphView`.  Degrees are
-    in-block degrees, one product of the operator with the block membership.
-    The operator requires scipy; :meth:`propagate` returns ``None`` without it.
-    """
-
-    __slots__ = (
-        "rows", "num_blocks", "total_rows", "_view", "_present", "_kept", "_absent",
-        "_order", "_offsets", "_operator", "_scales",
-    )
-
-    def __init__(self, view: SparseGraphView, membership: np.ndarray) -> None:
-        self.rows = np.flatnonzero(membership.any(axis=0))
-        self.num_blocks = membership.shape[0]
-        self.total_rows = len(self.rows) * self.num_blocks
-        self._view = view
-        # (k, m): node ``rows[i]`` is in block ``b``; flat index ``i * m + b``.
-        self._present = np.ascontiguousarray(membership[:, self.rows].T)
-        self._kept = self._present.astype(float).reshape(-1, 1)
-        self._absent = np.flatnonzero(~self._present)
-        # Hidden rows block by block, each block's nodes ascending.
-        self._order = np.arange(self.total_rows).reshape(self._present.shape).T[self._present.T]
-        self._offsets = np.zeros(self.num_blocks + 1, dtype=np.int64)
-        np.cumsum(self._present.sum(axis=0), out=self._offsets[1:])
-        base = BatchedGraphView.from_subsets(view, self.rows, [len(self.rows)])
-        self._operator = base._block_adjacency()
-        self._scales: dict[str, np.ndarray] = {}
-
-    def feature_matrix(self, feature_dim: int | None = None) -> np.ndarray:
-        """Every block's feature rows, absent nodes included (they never count)."""
-        return np.repeat(self._view.feature_matrix(feature_dim)[self.rows], self.num_blocks, axis=0)
-
-    def _scale(self, conv: str) -> np.ndarray:
-        """Cached per-``(node, block)`` normalisation column for a convolution type."""
-        cached = self._scales.get(conv)
-        if cached is None:
-            degrees = self._operator @ self._kept.reshape(self._present.shape)
-            if conv == "gcn":
-                cached = np.where(self._present, (degrees + 1.0) ** -0.5, 0.0)
-            else:  # sage mean aggregation
-                degrees[degrees == 0] = 1.0
-                cached = 1.0 / degrees
-            cached = cached.reshape(-1, 1)
-            self._scales[conv] = cached
-        return cached
-
-    def propagate(self, conv: str, hidden: np.ndarray) -> np.ndarray | None:
-        """One aggregation over every block, as :meth:`BatchedGraphView.propagate`."""
-        if self._operator is None:
-            return None
-        width = len(self.rows)
-
-        def spread(block_rows: np.ndarray) -> np.ndarray:
-            return (self._operator @ block_rows.reshape(width, -1)).reshape(block_rows.shape)
-
-        if conv == "gcn":
-            inv_sqrt = self._scale(conv)
-            scaled = inv_sqrt * hidden
-            aggregated = spread(scaled)
-            aggregated += scaled
-            aggregated *= inv_sqrt
-            return aggregated
-        kept = spread(self._kept * hidden)
-        if conv == "sage":
-            kept *= self._scale(conv)
-        return kept
-
-    def segment_pool(self, hidden: np.ndarray, mode: str) -> np.ndarray:
-        """Pool each block's present rows (max/mean/sum); empty blocks pool to zero."""
-        if mode == "max":
-            # Exact in any order: mask the absent rows, reduce across nodes.
-            masked = hidden.copy()
-            masked[self._absent] = -np.inf
-            pooled = masked.reshape(self._present.shape + hidden.shape[1:]).max(axis=0)
-            pooled[self._offsets[1:] == self._offsets[:-1]] = 0.0
-            return pooled
-        # Sums are order-sensitive: reduce each block's rows in the order a
-        # BatchedGraphView of the same blocks holds them.
-        return _segment_pool(np.take(hidden, self._order, axis=0), self._offsets, mode)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<SharedOperatorBatch blocks={self.num_blocks} nodes={len(self.rows)}>"
-
-
-def _segment_pool(hidden: np.ndarray, offsets: np.ndarray, mode: str) -> np.ndarray:
-    """Pool rows ``offsets[b]:offsets[b + 1]`` into row ``b`` (max/mean/sum)."""
-    pooled = np.zeros((len(offsets) - 1, hidden.shape[1]))
-    sizes = np.diff(offsets)
-    nonempty = sizes > 0
-    if not nonempty.any():
-        return pooled
-    # Empty segments occupy no rows, so the spans between consecutive
-    # non-empty starts align exactly with block contents.
-    starts = offsets[:-1][nonempty]
-    if mode == "max":
-        pooled[nonempty] = np.maximum.reduceat(hidden, starts, axis=0)
-    elif mode == "mean":
-        pooled[nonempty] = np.add.reduceat(hidden, starts, axis=0) / sizes[nonempty][:, None]
-    else:
-        pooled[nonempty] = np.add.reduceat(hidden, starts, axis=0)
-    return pooled

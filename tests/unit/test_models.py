@@ -270,19 +270,6 @@ class TestSubsetFamilies:
             model.subsets_logits(graph, family), model.subsets_logits(graph, list(family))
         )
 
-    @pytest.mark.parametrize("fill", [0.0, 2.0], ids=["all-shared", "all-gathered"])
-    @pytest.mark.parametrize("conv", ["gcn", "gin", "sage"])
-    def test_either_kernel_runs_any_family(self, graphs, monkeypatch, conv, fill):
-        """The shared operator also reads sparse parts right, and the gather dense ones."""
-        import repro.gnn.models as models_module
-
-        graph = graphs["syn"]
-        model = self._model(graph, conv, "mean")
-        family = self._swap_step(graph)
-        chosen = model.subsets_logits(graph, family)
-        monkeypatch.setattr(models_module, "_SHARED_OPERATOR_MIN_FILL", fill)
-        np.testing.assert_array_equal(model.subsets_logits(graph, family), chosen)
-
     def test_small_family_takes_the_sequential_path(self, graphs):
         graph = graphs["mut"]
         model = self._model(graph)
