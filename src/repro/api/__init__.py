@@ -13,19 +13,21 @@
   lifecycle, the fingerprint-keyed result cache, parallel fan-out, and the
   :class:`ServiceQuery` facade (durable when given a ``wal_dir``);
 * :func:`create_server` / :func:`serve` — the ``repro serve`` JSON/HTTP
-  endpoint (canonical routes under ``/v1``, deprecated unversioned
-  aliases);
+  endpoint (every route under ``/v1``), bound to any
+  :class:`ServiceSurface`;
 * :class:`ReplicaService` / :func:`view_signature` — the replica client
   tailing a primary's ``/v1/deltas`` stream into local read-only live
   views, and the semantic view digest both sides compare;
 * :class:`ShardRouter` / :class:`ShardPlan` — the sharded multi-process
   serving tier (``repro serve --shards N``): deterministic hash placement,
   per-shard worker processes with their own WAL streams, shared-memory CSR
-  snapshots, and router-side cross-shard view assembly.
+  snapshots, and router-side cross-shard view assembly; it plans requests
+  with the same :class:`~repro.api.planner.RequestPlanner` (label,
+  selection, cache key) as :class:`ExplanationService`.
 
 The algorithm classes (``ApproxGVEX``, ``StreamGVEX``, the
-``BaseExplainer`` zoo) remain importable from their historical locations as
-deprecation shims; new code should reach them through this package.
+``BaseExplainer`` zoo) remain importable from their concrete modules; new
+code should reach them through this package.
 """
 
 from repro.api.registry import (
@@ -63,6 +65,7 @@ from repro.api.types import (
     ExplanationResult,
     Explainer,
     Provenance,
+    ServiceSurface,
 )
 
 __all__ = [
@@ -72,6 +75,7 @@ __all__ = [
     "ExplainRequest",
     "ExplanationResult",
     "Provenance",
+    "ServiceSurface",
     "ExplainerRegistry",
     "InstanceViewExplainer",
     "DEFAULT_REGISTRY",

@@ -1,8 +1,9 @@
 """``repro serve``: a stdlib-only JSON/HTTP endpoint over the service.
 
-A thin request/response shim — all real work happens in
-:class:`~repro.api.service.ExplanationService` — so the wire format is
-exactly the serialisation layer's schema (``GET /v1/schema`` publishes it).
+A thin request/response shim — all real work happens behind the
+:class:`~repro.api.types.ServiceSurface` it binds to — so the wire format
+is exactly the serialisation layer's schema (``GET /v1/schema`` publishes
+it).
 
 Endpoints (canonical, versioned under ``/v1``)
 ----------------------------------------------
@@ -38,8 +39,8 @@ Every route lives under ``/v1``; a path outside it answers 404.
 rejects mutations (``POST /v1/ingest`` → 403) while keeping every read
 endpoint live.
 
-``create_server`` binds to anything exposing the service surface — the
-single-process :class:`~repro.api.service.ExplanationService` or the
+``create_server`` binds to any :class:`~repro.api.types.ServiceSurface` —
+the single-process :class:`~repro.api.service.ExplanationService` or the
 sharded :class:`~repro.api.sharding.ShardRouter` (``repro serve --shards
 N``).  In sharded mode the replication endpoints (``/v1/deltas``,
 ``/v1/replica/bootstrap``) answer 404: durability is per-shard WAL
@@ -63,7 +64,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.api.registry import available_explainers
 from repro.api.serialize import explanation_schema, result_to_dict
-from repro.api.service import ExplanationService
+from repro.api.types import ServiceSurface
 from repro.core.faults import fault_point
 from repro.exceptions import (
     FaultInjected,
@@ -79,11 +80,10 @@ API_VERSION = "v1"
 
 
 class _ExplanationRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the bound :class:`ExplanationService`."""
+    """Routes HTTP requests onto the bound :class:`ServiceSurface`."""
 
-    # Installed by create_server on the generated subclass.  Annotated as
-    # the single-process service; a ShardRouter duck-types the same surface.
-    service: ExplanationService = None  # type: ignore[assignment]
+    # Installed by create_server on the generated subclass.
+    service: ServiceSurface = None  # type: ignore[assignment]
     quiet: bool = True
     read_only: bool = False
 
@@ -349,7 +349,7 @@ class _ExplanationRequestHandler(BaseHTTPRequestHandler):
 
 
 def create_server(
-    service: ExplanationService,
+    service: ServiceSurface,
     host: str = "127.0.0.1",
     port: int = 8000,
     *,
@@ -362,9 +362,10 @@ def create_server(
     ``server.server_address``.  ``read_only=True`` builds the replica-facing
     variant: every read endpoint stays live, mutations are refused with 403.
     Callers own the lifecycle: run ``serve_forever()`` (optionally on a
-    thread) and ``shutdown()`` when done.  ``service`` may equally be a
-    :class:`~repro.api.sharding.ShardRouter` — the handler only touches the
-    shared service surface.
+    thread) and ``shutdown()`` when done.  ``service`` is an
+    :class:`~repro.api.service.ExplanationService` or a
+    :class:`~repro.api.sharding.ShardRouter`; the handler only touches the
+    :class:`~repro.api.types.ServiceSurface` members.
     """
     handler = type(
         "BoundExplanationRequestHandler",
@@ -375,7 +376,7 @@ def create_server(
 
 
 def serve(
-    service: ExplanationService,
+    service: ServiceSurface,
     host: str = "127.0.0.1",
     port: int = 8000,
     *,

@@ -18,7 +18,6 @@ public contract.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 import warnings
@@ -27,16 +26,15 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from repro.api.registry import DEFAULT_REGISTRY, create_explainer
+from repro.api.planner import RequestPlanner
+from repro.api.registry import create_explainer
 from repro.api.serialize import delta_from_dict, delta_to_dict, load_artifact, save_artifact
-from repro.api.types import SCHEMA_VERSION, ExplainRequest, ExplanationResult, Provenance
+from repro.api.types import SCHEMA_VERSION, ExplainRequest, ExplanationResult, ServiceSurface
 from repro.core.config import Configuration
 from repro.core.explanation import ExplanationViewSet
 from repro.core.faults import activate_from_config
 from repro.core.maintenance import DEFAULT_STREAM_BATCH_SIZE, ViewMaintainer
-from repro.core.sampling import estimator_summary, sampling_stats
+from repro.core.sampling import sampling_stats
 from repro.core.wal import WriteAheadLog
 from repro.exceptions import (
     DatasetError,
@@ -154,45 +152,27 @@ class ExplanationService:
             self.test_accuracy: float | None = context.test_accuracy
             # The paper explains the test split, so limited selections put
             # test-split graphs first (matching the experiment runners).
-            self._test_ids: list[int | None] = [
-                self.database[index].graph_id for index in context.test_indices
-            ]
+            test_ids = [self.database[index].graph_id for index in context.test_indices]
         else:
             self.dataset = dataset
             self.database = database
             self.model = model
             self.train_accuracy = None
             self.test_accuracy = None
-            self._test_ids = []
+            test_ids = []
         self.config = config or Configuration()
         # Operational knob: a fault plan riding on the configuration arms
         # the process-global injection registry before any instrumented
         # path (WAL, store spill, HTTP) runs under this service.
         activate_from_config(self.config)
-        self._graphs_by_id: dict[int | None, Graph] = {
-            graph.graph_id: graph for graph in self.database.graphs
-        }
-        self.store = ViewStore(
-            capacity=cache_size, spill_dir=cache_dir, graphs_by_id=self._graphs_by_id
-        )
-        # Model-assigned label per graph id, filled lazily (the model is
-        # fixed for the service's lifetime, so one batched pass serves every
-        # request's label filtering).
-        self._predicted: dict[int | None, int] | None = None
-        # Latest result fingerprint per label — what the query facade reads.
-        # Guarded by _lock: the HTTP server handles requests on threads.
-        self._latest: dict[int, str] = {}
+        self.store = ViewStore(capacity=cache_size, spill_dir=cache_dir)
+        # Guards the planner's memo and latest-result map, the maintainer's
+        # rows and the mutation path: the HTTP server handles requests on
+        # threads.
         self._lock = threading.RLock()
-        # Cache keys embed the *context* identity (model weights, database
-        # size/version, split) next to the request fingerprint, so a
-        # persistent cache_dir can never serve views computed by a different
-        # model — e.g. after retraining with other epochs on the same
-        # dataset — or by the same model over different database contents.
-        # The model is fixed for the service's lifetime, so its weight
-        # digest is hashed once; mutations only re-fold the cheap database
-        # identity.
-        self._weights_digest = self._fingerprint_weights()
-        self._context_fingerprint = self._fingerprint_context()
+        self.planner = RequestPlanner(
+            self.database, self.model, self.dataset, test_ids, self.store, self._lock
+        )
         # Live incremental view maintenance (enable_live_views): StreamGVEX
         # state repaired per delta instead of recomputed per request.
         self._maintainer: ViewMaintainer | None = None
@@ -375,13 +355,9 @@ class ExplanationService:
                 graph_ids=tuple(graph_ids) if graph_ids is not None else None,
                 limit=limit,
             )
-        request = self._resolve_label(request)
-        key = self._cache_key(request)
-        with self._lock:
-            cached = self.store.get(key)
-            if cached is not None:
-                self._latest[cached.provenance.label] = key
-                return cached.marked_cached()
+        request, key, cached = self.planner.plan(request)
+        if cached is not None:
+            return cached
 
         # A live maintainer serves matching stream requests without any
         # recompute (its views are repaired per database delta).
@@ -392,30 +368,16 @@ class ExplanationService:
         # The explanation itself runs outside the lock so concurrent
         # requests for *different* jobs proceed in parallel; two concurrent
         # misses on the same key redundantly (but harmlessly) both compute.
-        graphs = self._select_graphs(request)
+        graphs = self.planner.select_graphs(request)
         explainer = create_explainer(
             request.algorithm, self.model, config=request.effective_config()
         )
         start = time.perf_counter()
         view = explainer.explain_label(graphs, request.label)
-        runtime = time.perf_counter() - start
-        result = ExplanationResult(
-            view=view,
-            provenance=Provenance(
-                algorithm=request.algorithm,
-                label=request.label,
-                config_fingerprint=request.effective_config().fingerprint(),
-                request_fingerprint=request.fingerprint(),
-                runtime_seconds=runtime,
-                backend="sparse",
-                num_graphs=len(graphs),
-                dataset=self.dataset,
-                estimator=estimator_summary(request.effective_config(), graphs),
-            ),
+        result = self.planner.build_result(
+            request, view, graphs, time.perf_counter() - start
         )
-        with self._lock:
-            self.store.put(key, result)
-            self._latest[request.label] = key
+        self.planner.record(key, result)
         return result
 
     def explain_many(
@@ -436,10 +398,9 @@ class ExplanationService:
         labels are served from the store either way.
         """
         if labels is None:
-            predicted = self._predicted_labels()
-            labels = sorted(set(predicted.values()))
-        requests = {
-            label: self._resolve_label(
+            labels = sorted(set(self.planner.predicted_labels().values()))
+        planned = {
+            label: self.planner.plan(
                 ExplainRequest(
                     algorithm=algorithm,
                     label=label,
@@ -450,22 +411,18 @@ class ExplanationService:
             )
             for label in labels
         }
-        results: dict[int, ExplanationResult] = {}
-        pending: list[int] = []
-        with self._lock:
-            for label, request in requests.items():
-                cached = self.store.get(self._cache_key(request))
-                if cached is not None:
-                    self._latest[label] = self._cache_key(request)
-                    results[label] = cached.marked_cached()
-                else:
-                    pending.append(label)
+        results = {
+            label: cached
+            for label, (_, _, cached) in planned.items()
+            if cached is not None
+        }
+        pending = [label for label in planned if label not in results]
 
         parallelizable = algorithm in ("approx", "stream") and limit is None
         if pending and num_workers > 1 and parallelizable:
             from repro.core.parallel import parallel_explain
 
-            sample = requests[pending[0]]
+            sample = planned[pending[0]][0]
             start = time.perf_counter()
             views = parallel_explain(
                 self.model,
@@ -476,32 +433,17 @@ class ExplanationService:
                 algorithm=algorithm,
             )
             elapsed = time.perf_counter() - start
+            graphs = self.database.graphs
             for label in pending:
-                request = requests[label]
-                result = ExplanationResult(
-                    view=views.view_for(label),
-                    provenance=Provenance(
-                        algorithm=request.algorithm,
-                        label=label,
-                        config_fingerprint=request.effective_config().fingerprint(),
-                        request_fingerprint=request.fingerprint(),
-                        runtime_seconds=elapsed / max(len(pending), 1),
-                        backend="sparse",
-                        num_graphs=len(self.database),
-                        dataset=self.dataset,
-                        estimator=estimator_summary(
-                            request.effective_config(), self.database.graphs
-                        ),
-                    ),
+                request, key, _ = planned[label]
+                result = self.planner.build_result(
+                    request, views.view_for(label), graphs, elapsed / len(pending)
                 )
-                key = self._cache_key(request)
-                with self._lock:
-                    self.store.put(key, result)
-                    self._latest[label] = key
+                self.planner.record(key, result)
                 results[label] = result
         else:
             for label in pending:
-                results[label] = self.explain(requests[label])
+                results[label] = self.explain(planned[label][0])
         return [results[label] for label in labels]
 
     # ------------------------------------------------------------------
@@ -544,7 +486,7 @@ class ExplanationService:
                         maintainer = ViewMaintainer.from_snapshot(
                             payload, self.model, self.database, config=self.config
                         )
-                        maintainer.label_predictor = self._memoised_prediction
+                        maintainer.label_predictor = self.planner.memoised_prediction
                     except Exception:
                         # Stale, foreign, or malformed snapshot: a warm
                         # restart is an optimisation, never a hard failure.
@@ -555,7 +497,7 @@ class ExplanationService:
                     self.config,
                     batch_size=batch_size,
                     label_source=label_source,
-                    label_predictor=self._memoised_prediction,
+                    label_predictor=self.planner.memoised_prediction,
                 ).attach(self.database)
             # Maintainer row state must mutate under the service lock so the
             # locked view reads in _maintained_result can never observe a
@@ -606,7 +548,7 @@ class ExplanationService:
             # (the suggested remedy — retry without an id — only works if
             # the rejected id was never written onto the graph).
             wanted_id = graph_id if graph_id is not None else graph.graph_id
-            if wanted_id is not None and wanted_id in self._graphs_by_id:
+            if wanted_id is not None and wanted_id in self.planner.graphs_by_id:
                 raise ExplanationError(
                     f"graph id {wanted_id} is already in the database; "
                     "remove it first or ingest without an id to auto-assign one"
@@ -649,25 +591,11 @@ class ExplanationService:
     # ------------------------------------------------------------------
     def view_set(self) -> ExplanationViewSet:
         """The latest stored view per label, as one queryable set."""
-        with self._lock:
-            latest = dict(self._latest)
-        views = ExplanationViewSet()
-        for key in latest.values():
-            result = self.store.get(key)
-            if result is not None:
-                views.add(result.view)
-        return views
+        return self.planner.view_set()
 
     def results(self) -> list[ExplanationResult]:
         """The latest stored result per label (sorted by label)."""
-        with self._lock:
-            latest = dict(self._latest)
-        collected = []
-        for label in sorted(latest):
-            result = self.store.get(latest[label])
-            if result is not None:
-                collected.append(result)
-        return collected
+        return self.planner.results()
 
     def query(self) -> "ServiceQuery":
         """A query facade over every currently stored view."""
@@ -684,7 +612,7 @@ class ExplanationService:
 
     def load_views(self, path: str | Path) -> list[ExplanationResult]:
         """Ingest results saved by :meth:`save_views` into the store."""
-        loaded = load_artifact(path, graphs_by_id=self._graphs_by_id)
+        loaded = load_artifact(path, graphs_by_id=self.planner.graphs_by_id)
         if isinstance(loaded, ExplanationResult):
             loaded = [loaded]
         if not isinstance(loaded, list):
@@ -694,9 +622,7 @@ class ExplanationService:
             )
         with self._lock:
             for result in loaded:
-                key = self._result_key(result)
-                self.store.put(key, result)
-                self._latest[result.provenance.label] = key
+                self.planner.record(self.planner.result_key(result), result)
         return loaded
 
     def close(self) -> None:
@@ -734,13 +660,11 @@ class ExplanationService:
         from repro.core.caching import with_hit_rate
         from repro.matching.engine import get_engine
 
-        with self._lock:
-            labels_explained = sorted(self._latest)
         return {
             "dataset": self.dataset,
             "num_graphs": len(self.database),
             "database_version": self.database.version,
-            "labels_explained": labels_explained,
+            "labels_explained": self.planner.labels_explained(),
             "train_accuracy": self.train_accuracy,
             "test_accuracy": self.test_accuracy,
             "backend": "sparse",
@@ -763,62 +687,15 @@ class ExplanationService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _predicted_labels(self) -> dict[int | None, int]:
-        if self._predicted is None:
-            graphs = [graph for graph in self.database.graphs if graph.num_nodes() > 0]
-            assigned = self.model.predict_many(graphs)
-            self._predicted = {
-                graph.graph_id: label for graph, label in zip(graphs, assigned)
-            }
-        return self._predicted
-
-    def _resolve_label(self, request: ExplainRequest) -> ExplainRequest:
-        if request.label is not None:
-            return request
-        predicted = self._predicted_labels()
-        pool = (
-            [predicted[graph_id] for graph_id in request.graph_ids if graph_id in predicted]
-            if request.graph_ids is not None
-            else list(predicted.values())
-        )
-        if not pool:
-            raise ExplanationError(
-                "cannot infer a label to explain: the request selects no "
-                "non-empty graphs"
-            )
-        return request.with_label(min(pool))
-
-    def _select_graphs(self, request: ExplainRequest) -> list[Graph]:
-        if request.graph_ids is not None:
-            wanted = set(request.graph_ids)
-            graphs = [graph for graph in self.database.graphs if graph.graph_id in wanted]
-        else:
-            graphs = list(self.database.graphs)
-        if request.limit is not None:
-            # Test-split graphs first (the paper explains the test set;
-            # train-split graphs only top the group up), matching the
-            # experiment runners' label_group semantics.
-            test_rank = {graph_id: rank for rank, graph_id in enumerate(self._test_ids)}
-            graphs = sorted(
-                graphs, key=lambda graph: test_rank.get(graph.graph_id, len(test_rank))
-            )
-            predicted = self._predicted_labels()
-            graphs = [
-                graph for graph in graphs if predicted.get(graph.graph_id) == request.label
-            ][: request.limit]
-        return graphs
-
     # -- dynamic-database internals -------------------------------------
     def _on_delta(self, delta: DatabaseDelta) -> None:
         """Cheap bookkeeping for *every* database mutation (delta-aware).
 
         Runs synchronously from the database's subscription hook — also for
         mutations made directly on the database object, not through the
-        service.  Keeps the graph index and the predicted-label memo in step
-        with the delta (O(delta), never a database-wide recompute) and moves
-        the service onto fresh cache keys; stale latest-result pointers are
-        dropped, and maintained labels are re-registered lazily from the
-        live maintainer.
+        service.  Logs the delta, then hands it to the planner (fresh cache
+        keys, memo and graph index in step, O(delta)); maintained labels are
+        re-registered lazily from the live maintainer.
         """
         with self._lock:
             # Durability first: the delta reaches the fsync'd log before any
@@ -829,36 +706,7 @@ class ExplanationService:
             # Replayed deltas are already in the log and skip the append.
             if self._wal is not None and not self._wal_replaying:
                 self._wal.append(delta_to_dict(delta), delta.version)
-            # Cache-key bookkeeping next: it must happen even when the
-            # later model work fails (a direct database.add_graph of an
-            # unclassifiable graph), or stale pre-mutation views would keep
-            # being served for the grown database.
-            old_context = self._context_fingerprint
-            self._context_fingerprint = self._fingerprint_context()
-            # Every result computed over the previous database contents —
-            # any algorithm, limit, or graph selection, not just the latest
-            # per label — becomes unreachable (keys embed the old context
-            # fingerprint).  Discard the whole generation from both store
-            # tiers, or a long-running live-ingest service accumulates one
-            # dead artifact per request variant per mutation, forever.
-            # Maintained labels re-register under the new keys right after.
-            self.store.discard_prefix(f"{(self.dataset or 'custom').lower()}-{old_context}-")
-            self._latest.clear()
-            if delta.kind == "add" and delta.graph is not None:
-                self._graphs_by_id[delta.graph.graph_id] = delta.graph
-                if self._predicted is not None and delta.graph.num_nodes() > 0:
-                    try:
-                        self._predicted[delta.graph.graph_id] = self.model.predict(delta.graph)
-                    except Exception:
-                        # Unclassifiable graph added directly on the
-                        # database: drop the memo rather than poison it; a
-                        # later label query rebuilds (and surfaces the
-                        # error to the caller who asks).
-                        self._predicted = None
-            elif delta.kind == "remove":
-                self._graphs_by_id.pop(delta.graph_id, None)
-                if self._predicted is not None:
-                    self._predicted.pop(delta.graph_id, None)
+            self.planner.on_mutation(delta.kind, delta.graph_id, delta.graph)
 
     #: Mutations between maintainer snapshot writes.  The snapshot is an
     #: optimisation, not the source of truth: a restore streams whatever the
@@ -867,20 +715,6 @@ class ExplanationService:
     #: writing the full O(rows) snapshot on *every* delta would make each
     #: single-graph mutation pay O(database) disk work.
     SNAPSHOT_EVERY = 16
-
-    def _memoised_prediction(self, graph: Graph) -> int | None:
-        """Already-computed predicted label for a graph, if any.
-
-        Handed to the maintainer as its ``label_predictor`` so each ingest
-        pays exactly one forward pass: the delta hook predicts into the
-        memo, and the maintainer reads it back instead of predicting again.
-        Never *builds* the memo (that would turn one ingest into a
-        database-wide batched pass at an arbitrary moment).
-        """
-        with self._lock:
-            if self._predicted is None:
-                return None
-            return self._predicted.get(graph.graph_id)
 
     def _mutation_summary(self, op: str, graph_id: int | None) -> dict[str, Any]:
         refreshed = self._refresh_maintained()
@@ -924,7 +758,7 @@ class ExplanationService:
         # additionally validates restored node sets against the graphs.
         prefix = (self.dataset or "custom").lower()
         name = "".join(ch for ch in self.database.name.lower() if ch.isalnum())
-        return f"{prefix}-{name}-{self._weights_digest[:12]}-maintainer"
+        return f"{prefix}-{name}-{self.planner.weights_digest[:12]}-maintainer"
 
     def _persist_maintainer(self) -> None:
         if self._maintainer is None or self.store.spill_dir is None:
@@ -943,20 +777,13 @@ class ExplanationService:
         the store under the current context key.
         """
         maintainer = self._maintainer
-        if maintainer is None or request.label is None:
-            return None
-        if request.graph_ids is not None or request.limit is not None:
-            return None
-        try:
-            if DEFAULT_REGISTRY.resolve(request.algorithm) != "stream":
-                return None
-        except ExplanationError:
-            return None
-        if maintainer.label_source != "predicted":
-            return None
-        if maintainer.processor.batch_size != DEFAULT_STREAM_BATCH_SIZE:
-            return None
-        if request.effective_config().fingerprint() != maintainer.config.fingerprint():
+        if (
+            maintainer is None
+            or request.label is None
+            or maintainer.label_source != "predicted"
+            or maintainer.processor.batch_size != DEFAULT_STREAM_BATCH_SIZE
+            or not self.planner.is_whole_stream(request, maintainer.config)
+        ):
             return None
         # View assembly and registration run under the service lock: the
         # HTTP server serves /explain and /ingest on different threads, and
@@ -966,66 +793,11 @@ class ExplanationService:
         with self._lock:
             start = time.perf_counter()
             view = maintainer.view_for(request.label)
-            result = ExplanationResult(
-                view=view,
-                provenance=Provenance(
-                    algorithm=request.algorithm,
-                    label=request.label,
-                    config_fingerprint=request.effective_config().fingerprint(),
-                    request_fingerprint=request.fingerprint(),
-                    runtime_seconds=time.perf_counter() - start,
-                    backend="sparse",
-                    num_graphs=len(self.database),
-                    dataset=self.dataset,
-                    estimator=estimator_summary(
-                        request.effective_config(), self.database.graphs
-                    ),
-                ),
+            result = self.planner.build_result(
+                request, view, self.database.graphs, time.perf_counter() - start
             )
-            key = self._cache_key(request)
-            self.store.put(key, result)
-            self._latest[request.label] = key
+            self.planner.record(self.planner.cache_key(request), result)
         return result
-
-    def _fingerprint_weights(self) -> str:
-        """Stable hash of the model weights (computed once; the model is
-        fixed for the service's lifetime)."""
-        digest = hashlib.sha256()
-        for layer in self.model.get_weights():
-            for name in sorted(layer):
-                array = np.ascontiguousarray(layer[name])
-                digest.update(name.encode("utf-8"))
-                digest.update(str(array.shape).encode("utf-8"))
-                digest.update(array.tobytes())
-        return digest.hexdigest()
-
-    def _fingerprint_context(self) -> str:
-        """Stable hash of the model weights + database/split identity.
-
-        Part of every cache key: a spill directory shared across runs must
-        never serve views computed by a different (e.g. retrained) model,
-        and the adopt path must not collide across unrelated model/database
-        pairs.  The database *version* is folded in, so every mutation moves
-        the service onto fresh cache keys — results computed over the old
-        contents become unreachable instead of being served stale (the
-        delta-aware invalidation: maintained labels are re-registered under
-        the new keys from the live maintainer, everything else recomputes on
-        demand).
-        """
-        digest = hashlib.sha256()
-        digest.update(self._weights_digest.encode("utf-8"))
-        digest.update(str(len(self.database)).encode("utf-8"))
-        digest.update(str(self.database.version).encode("utf-8"))
-        digest.update(str(self._test_ids).encode("utf-8"))
-        return digest.hexdigest()[:12]
-
-    def _cache_key(self, request: ExplainRequest) -> str:
-        prefix = (self.dataset or "custom").lower()
-        return f"{prefix}-{self._context_fingerprint}-{request.fingerprint()}"
-
-    def _result_key(self, result: ExplanationResult) -> str:
-        prefix = (result.provenance.dataset or self.dataset or "custom").lower()
-        return f"{prefix}-{self._context_fingerprint}-{result.provenance.request_fingerprint}"
 
 
 class ServiceQuery:
@@ -1036,7 +808,7 @@ class ServiceQuery:
     a view (fidelity, conciseness).
     """
 
-    def __init__(self, service: ExplanationService) -> None:
+    def __init__(self, service: ServiceSurface) -> None:
         from repro.core.views import ViewQueryEngine
 
         self.service = service

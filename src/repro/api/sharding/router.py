@@ -1,9 +1,11 @@
 """The sharded tier's front-end: route, fan out, reassemble, recover.
 
-:class:`ShardRouter` duck-types the :class:`ExplanationService` surface the
-HTTP server binds to, so ``repro serve --shards N`` swaps it in without the
-handler changing — but underneath, every request is decomposed against a
-deterministic :class:`ShardPlan`:
+:class:`ShardRouter` implements the :class:`~repro.api.types.ServiceSurface`
+the HTTP server binds to, so ``repro serve --shards N`` swaps it in without
+the handler changing.  It plans requests (label, selection, cache key)
+with the same :class:`~repro.api.planner.RequestPlanner` as the
+single-process service, but underneath, every request is decomposed
+against a deterministic :class:`ShardPlan`:
 
 * **mutations** (``ingest``/``remove``/``relabel``) route to the single
   owning shard, whose worker appends to its own contiguous WAL stream;
@@ -60,9 +62,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from repro.api.registry import DEFAULT_REGISTRY, create_explainer
+from repro.api.planner import RequestPlanner
+from repro.api.registry import create_explainer
 from repro.api.replication import model_to_payload
 from repro.api.serialize import delta_from_dict, view_from_dict
 from repro.api.service import ServiceQuery
@@ -70,13 +71,12 @@ from repro.api.sharding.plan import ShardPlan
 from repro.api.sharding.shm import create_arena
 from repro.api.sharding.worker import ShardHost, shard_worker_main
 from repro.api.store import ViewStore
-from repro.api.types import ExplainRequest, ExplanationResult, Provenance
+from repro.api.types import ExplainRequest, ExplanationResult
 from repro.core.config import Configuration
 from repro.core.explanation import ExplanationViewSet
 from repro.core.faults import activate_from_config, fault_point
 from repro.core.maintenance import assemble_view_from_rows
 from repro.core.parallel import merge_views
-from repro.core.sampling import estimator_summary
 from repro.exceptions import ExplanationError, PoisonRequestError, ShardDownError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -220,12 +220,11 @@ class _ProcessWorker:
 class ShardRouter:
     """Front-end over ``num_shards`` worker-hosted explanation services.
 
-    Duck-types the service surface (``explain``, ``ingest``/``remove``/
-    ``relabel``, ``view_set``, ``results``, ``query``, ``stats``,
-    ``live_views``, ``close``), so :func:`repro.api.server.create_server`
-    binds to it unchanged.  Replication endpoints are not served in sharded
-    mode (``delta_feed``/``replication_snapshot`` raise — per-shard WAL
-    streams are the durable story here).
+    Implements :class:`~repro.api.types.ServiceSurface`, so
+    :func:`repro.api.server.create_server` binds to it unchanged.
+    Replication endpoints are not served in sharded mode
+    (``delta_feed``/``replication_snapshot`` raise — per-shard WAL streams
+    are the durable story here).
 
     Parameters mirror the service's adopt path; ``backend`` selects
     ``"process"`` (long-lived worker processes over pipes), ``"inline"``
@@ -272,14 +271,10 @@ class ShardRouter:
         self.num_shards = self.plan.num_shards
         self.train_accuracy: float | None = None
         self.test_accuracy: float | None = None
-        self._test_ids: list[int | None] = list(test_ids or [])
         self.request_timeout = request_timeout
         self._boot_timeout = boot_timeout
         self._lock = threading.RLock()
-        self._latest: dict[int, str] = {}
-        self._predicted: dict[int | None, int] | None = None
         self._live_cache: tuple[int, ExplanationViewSet] | None = None
-        self._positions_cache: tuple[int, dict[int | None, int]] | None = None
         self._respawns = 0
         self._closed = False
 
@@ -314,7 +309,6 @@ class ShardRouter:
         self.store = ViewStore(
             capacity=cache_size,
             spill_dir=(cache_root / "router") if cache_root is not None else None,
-            graphs_by_id={graph.graph_id: graph for graph in database.graphs},
         )
 
         # One shared-memory arena over the seed graphs' CSR views; workers
@@ -391,14 +385,12 @@ class ShardRouter:
         # Crash/restart recovery, router half: each worker's service just
         # replayed its shard WAL tail while bootstrapping; pull those
         # replayed mutations up into the router's global database so
-        # placement, ordering, and graphs_by_id agree with the shards again.
+        # placement, ordering, and the planner's graph index agree with the
+        # shards again.
         self._reconcile_replayed()
-        self._graphs_by_id: dict[int | None, Graph] = {
-            graph.graph_id: graph for graph in self.database.graphs
-        }
-        self.store._graphs_by_id = self._graphs_by_id
-        self._weights_digest = self._fingerprint_weights()
-        self._context_fingerprint = self._fingerprint_context()
+        self.planner = RequestPlanner(
+            self.database, model, dataset, test_ids or [], self.store, self._lock
+        )
 
         if supervise:
             self._supervisor = ShardSupervisor(
@@ -611,51 +603,38 @@ class ShardRouter:
             self._note_stable(shard)
             return result
 
-    def _fan(self, calls: list[tuple[int, str, dict[str, Any]]]) -> list[Any]:
-        """Run several shard ops concurrently, results in call order."""
-        if len(calls) <= 1:
-            return [self._call(shard, op, payload) for shard, op, payload in calls]
-        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
-            futures = [
-                pool.submit(self._call, shard, op, payload)
-                for shard, op, payload in calls
-            ]
-            return [future.result() for future in futures]
-
-    def _fan_partial(
+    def _gather(
         self, calls: list[tuple[int, str, dict[str, Any]]]
     ) -> tuple[list[Any], list[int]]:
-        """Degraded-read fan-out: swallow :class:`ShardDownError` per call.
+        """Run several shard ops concurrently.
 
-        Returns the successful responses (in call order) and the sorted
-        shard indices that were down.  Any *other* failure — a poison
-        quarantine, a validation error — still propagates: degradation
-        covers unavailable shards, never wrong answers.
+        Returns the responses in call order and the sorted indices of the
+        shards that were down.  Under ``degraded_reads`` a
+        :class:`ShardDownError` drops that call's response instead of
+        failing the read; any *other* failure — a poison quarantine, a
+        validation error — still propagates: degradation covers unavailable
+        shards, never wrong answers.
         """
-        responses: list[Any] = []
-        missing: list[int] = []
 
         def _one(shard: int, op: str, payload: dict[str, Any]) -> Any:
             try:
                 return self._call(shard, op, payload)
             except ShardDownError:
+                if not self.degraded_reads:
+                    raise
                 return _SHARD_MISSING
 
         if len(calls) <= 1:
-            raw = [_one(shard, op, payload) for shard, op, payload in calls]
+            raw = [_one(*call) for call in calls]
         else:
             with ThreadPoolExecutor(max_workers=len(calls)) as pool:
-                futures = [
-                    pool.submit(_one, shard, op, payload)
-                    for shard, op, payload in calls
-                ]
+                futures = [pool.submit(_one, *call) for call in calls]
                 raw = [future.result() for future in futures]
-        for (shard, _op, _payload), result in zip(calls, raw):
-            if result is _SHARD_MISSING:
-                missing.append(shard)
-            else:
-                responses.append(result)
-        return responses, sorted(missing)
+        missing = sorted(
+            shard for (shard, _op, _payload), result in zip(calls, raw)
+            if result is _SHARD_MISSING
+        )
+        return [result for result in raw if result is not _SHARD_MISSING], missing
 
     def kill_worker(self, shard: int) -> None:
         """Hard-kill one shard's worker (test/chaos hook; no cleanup runs).
@@ -718,83 +697,57 @@ class ShardRouter:
                 graph_ids=tuple(graph_ids) if graph_ids is not None else None,
                 limit=limit,
             )
-        request = self._resolve_label(request)
-        key = self._cache_key(request)
-        with self._lock:
-            cached = self.store.get(key)
-            if cached is not None:
-                self._latest[cached.provenance.label] = key
-                return cached.marked_cached()
+        request, key, cached = self.planner.plan(request)
+        if cached is not None:
+            return cached
 
         start = time.perf_counter()
-        if self._is_maintained_stream(request):
+        # Whole-database stream requests under the workers' maintained
+        # configuration reassemble from rows (identical at any shard
+        # count); anything else takes the fan-out/merge path.
+        if self.planner.is_whole_stream(request, self.config):
             view, missing_shards = self._stream_view(request)
-            num_graphs = len(self.database)
+            graphs = self.database.graphs
         else:
-            view, num_graphs, missing_shards = self._fanout_view(request)
-        runtime = time.perf_counter() - start
-        result = ExplanationResult(
-            view=view,
-            provenance=Provenance(
-                algorithm=request.algorithm,
-                label=request.label,
-                config_fingerprint=request.effective_config().fingerprint(),
-                request_fingerprint=request.fingerprint(),
-                runtime_seconds=runtime,
-                backend="sparse",
-                num_graphs=num_graphs,
-                dataset=self.dataset,
-                estimator=estimator_summary(
-                    request.effective_config(), self.database.graphs
-                ),
-            ),
-            degraded=bool(missing_shards),
-            missing_shards=tuple(missing_shards),
+            view, graphs, missing_shards = self._fanout_view(request)
+        result = self.planner.build_result(
+            request, view, graphs, time.perf_counter() - start, missing_shards
         )
-        if missing_shards:
-            # A partial answer must never be served from (or poison) the
-            # cache: the next request re-fans and heals as shards return.
-            return result
-        with self._lock:
-            self.store.put(key, result)
-            self._latest[request.label] = key
+        # A partial answer is never cached, so it is never served again:
+        # the next request re-fans and heals as shards return.
+        if not missing_shards:
+            self.planner.record(key, result)
         return result
 
-    def _is_maintained_stream(self, request: ExplainRequest) -> bool:
-        """Whole-database stream requests under the workers' maintained
-        configuration reassemble from rows (identical at any shard count);
-        anything else takes the fan-out/merge path."""
-        if request.graph_ids is not None or request.limit is not None:
-            return False
-        try:
-            if DEFAULT_REGISTRY.resolve(request.algorithm) != "stream":
-                return False
-        except ExplanationError:
-            return False
-        return (
-            request.effective_config().fingerprint() == self.config.fingerprint()
+    def _shard_rows(self, label: int | None) -> tuple[list[dict[str, Any]], list[int]]:
+        """Every shard's maintained rows (for one label, or all), in global
+        database order; rows of graphs the router does not hold sort last."""
+        responses, missing_shards = self._gather(
+            [(shard, "stream_rows", {"label": label}) for shard in range(self.num_shards)]
         )
+        rows = [row for response in responses for row in response["rows"]]
+        database = self.database
+        with self._lock:
+            end = len(database)
+            rows.sort(
+                key=lambda row: database.index_of(row["graph_id"])
+                if database.has_graph(row["graph_id"])
+                else end
+            )
+        return rows, missing_shards
 
     def _stream_view(self, request: ExplainRequest):
-        calls = [
-            (shard, "stream_rows", {"label": request.label})
-            for shard in range(self.num_shards)
+        rows, missing_shards = self._shard_rows(request.label)
+        missing = [
+            row["graph_id"] for row in rows if row["graph_id"] not in self.planner.graphs_by_id
         ]
-        if self.degraded_reads:
-            responses, missing_shards = self._fan_partial(calls)
-        else:
-            responses, missing_shards = self._fan(calls), []
-        rows = [row for response in responses for row in response["rows"]]
-        positions = self._positions()
-        missing = [row["graph_id"] for row in rows if row["graph_id"] not in positions]
         if missing:
             raise ExplanationError(
                 f"shard rows reference graphs {missing[:5]!r} unknown to the "
                 "router; the shards and the router database have diverged"
             )
-        rows.sort(key=lambda row: positions[row["graph_id"]])
         return (
-            assemble_view_from_rows(rows, request.label, self._graphs_by_id),
+            assemble_view_from_rows(rows, request.label, self.planner.graphs_by_id),
             missing_shards,
         )
 
@@ -810,44 +763,38 @@ class ShardRouter:
             # *global* decision made here; each shard explains exactly its
             # members of the ordered result, so a 1-shard tier reproduces
             # the single-process service's list verbatim.
-            selection = self._select_graphs(request)
+            graphs = self.planner.select_graphs(request)
             groups: dict[int, list[int]] = {}
-            for graph in selection:
+            for graph in graphs:
                 shard = self.plan.shard_of(graph.graph_id)
                 groups.setdefault(shard, []).append(graph.graph_id)
-            if not groups:
-                explainer = create_explainer(
-                    request.algorithm, self.model, config=request.effective_config()
-                )
-                return explainer.explain_label([], request.label), 0, []
             calls = [
                 (shard, "explain_ordered", base | {"graph_ids": ids})
                 for shard, ids in sorted(groups.items())
             ]
-            num_graphs = len(selection)
         else:
+            graphs = self.database.graphs
             sizes = self.plan.shard_sizes(self.database)
             involved = [shard for shard, size in enumerate(sizes) if size > 0] or [0]
             calls = [(shard, "explain", dict(base)) for shard in involved]
-            num_graphs = len(self.database)
-        if self.degraded_reads:
-            responses, missing_shards = self._fan_partial(calls)
-        else:
-            responses, missing_shards = self._fan(calls), []
+        responses, missing_shards = self._gather(calls)
         views = [
-            view_from_dict(response["view"], graphs_by_id=self._graphs_by_id)
+            view_from_dict(response["view"], graphs_by_id=self.planner.graphs_by_id)
             for response in responses
         ]
         if not views:
-            # Every involved shard was down: a degraded answer degenerates
-            # to an empty (but well-formed, correctly flagged) view.
+            # An empty selection, or every involved shard was down (then a
+            # degraded answer degenerates to an empty but well-formed,
+            # correctly flagged view).
             explainer = create_explainer(
                 request.algorithm, self.model, config=request.effective_config()
             )
-            return explainer.explain_label([], request.label), num_graphs, missing_shards
-        if len(views) == 1:
-            return views[0], num_graphs, missing_shards
-        return merge_views(views, request.label), num_graphs, missing_shards
+            view = explainer.explain_label([], request.label)
+        elif len(views) == 1:
+            view = views[0]
+        else:
+            view = merge_views(views, request.label)
+        return view, graphs, missing_shards
 
     # ------------------------------------------------------------------
     # mutations (routed to the owning shard, then mirrored globally)
@@ -870,7 +817,7 @@ class ShardRouter:
             wanted = graph_id if graph_id is not None else graph.graph_id
             if wanted is None:
                 wanted = self.database._next_auto_id
-            if wanted in self._graphs_by_id:
+            if wanted in self.planner.graphs_by_id:
                 raise ExplanationError(
                     f"graph id {wanted} is already in the database; remove it "
                     "first or ingest without an id to auto-assign one"
@@ -896,14 +843,14 @@ class ShardRouter:
             )
             graph.graph_id = wanted
             self.database.add_graph(graph, label)
-            self._after_mutation("add", graph)
+            self.planner.on_mutation("add", wanted, graph)
             return self._globalise(summary, shard)
 
     def remove(self, graph_id: int) -> dict[str, Any]:
         """Remove a graph by stable id (routed to its owning shard)."""
         with self._lock:
             self._ensure_open()
-            if graph_id not in self._graphs_by_id:
+            if graph_id not in self.planner.graphs_by_id:
                 raise ExplanationError(
                     f"no graph with id {graph_id!r} in the sharded database"
                 )
@@ -912,14 +859,14 @@ class ShardRouter:
                 shard, "mutate", {"kind": "remove", "graph_id": graph_id}
             )
             self.database.remove_graph(graph_id)
-            self._after_mutation("remove", None, graph_id=graph_id)
+            self.planner.on_mutation("remove", graph_id)
             return self._globalise(summary, shard)
 
     def relabel(self, graph_id: int, label: int) -> dict[str, Any]:
         """Change a graph's stored label (routed to its owning shard)."""
         with self._lock:
             self._ensure_open()
-            if graph_id not in self._graphs_by_id:
+            if graph_id not in self.planner.graphs_by_id:
                 raise ExplanationError(
                     f"no graph with id {graph_id!r} in the sharded database"
                 )
@@ -928,7 +875,7 @@ class ShardRouter:
                 shard, "mutate", {"kind": "relabel", "graph_id": graph_id, "label": label}
             )
             self.database.relabel_graph(graph_id, label)
-            self._after_mutation("relabel", None, graph_id=graph_id)
+            self.planner.on_mutation("relabel", graph_id)
             return self._globalise(summary, shard)
 
     def _globalise(self, summary: dict[str, Any], shard: int) -> dict[str, Any]:
@@ -938,30 +885,6 @@ class ShardRouter:
         summary["database_version"] = self.database.version
         summary["num_graphs"] = len(self.database)
         return summary
-
-    def _after_mutation(
-        self, kind: str, graph: Graph | None, *, graph_id: int | None = None
-    ) -> None:
-        """Router-side bookkeeping mirroring the service's delta hook."""
-        old_context = self._context_fingerprint
-        self._context_fingerprint = self._fingerprint_context()
-        self.store.discard_prefix(
-            f"{(self.dataset or 'custom').lower()}-{old_context}-"
-        )
-        self._latest.clear()
-        self._live_cache = None
-        self._positions_cache = None
-        if kind == "add" and graph is not None:
-            self._graphs_by_id[graph.graph_id] = graph
-            if self._predicted is not None and graph.num_nodes() > 0:
-                try:
-                    self._predicted[graph.graph_id] = self.model.predict(graph)
-                except Exception:
-                    self._predicted = None
-        elif kind == "remove":
-            self._graphs_by_id.pop(graph_id, None)
-            if self._predicted is not None:
-                self._predicted.pop(graph_id, None)
 
     # ------------------------------------------------------------------
     # stored-view access / queries (the service-compatible read surface)
@@ -978,20 +901,11 @@ class ShardRouter:
         with self._lock:
             if self._live_cache is not None and self._live_cache[0] == version:
                 return self._live_cache[1]
-        calls = [
-            (shard, "stream_rows", {"label": None}) for shard in range(self.num_shards)
-        ]
-        if self.degraded_reads:
-            responses, missing_shards = self._fan_partial(calls)
-        else:
-            responses, missing_shards = self._fan(calls), []
-        rows = [row for response in responses for row in response["rows"]]
-        positions = self._positions()
-        rows.sort(key=lambda row: positions.get(row["graph_id"], len(positions)))
+        rows, missing_shards = self._shard_rows(None)
         labels = sorted({row["label"] for row in rows if row["label"] is not None})
         views = ExplanationViewSet()
         for label in labels:
-            views.add(assemble_view_from_rows(rows, label, self._graphs_by_id))
+            views.add(assemble_view_from_rows(rows, label, self.planner.graphs_by_id))
         if missing_shards:
             return views  # partial: never cached, heals on the next call
         with self._lock:
@@ -1000,29 +914,15 @@ class ShardRouter:
 
     def view_set(self) -> ExplanationViewSet:
         """The latest stored view per label, as one queryable set."""
-        with self._lock:
-            latest = dict(self._latest)
-        views = ExplanationViewSet()
-        for key in latest.values():
-            result = self.store.get(key)
-            if result is not None:
-                views.add(result.view)
-        return views
+        return self.planner.view_set()
 
     def results(self) -> list[ExplanationResult]:
         """The latest stored result per label (sorted by label)."""
-        with self._lock:
-            latest = dict(self._latest)
-        collected = []
-        for label in sorted(latest):
-            result = self.store.get(latest[label])
-            if result is not None:
-                collected.append(result)
-        return collected
+        return self.planner.results()
 
     def query(self) -> ServiceQuery:
-        """The standard query facade (duck-typed over this router)."""
-        return ServiceQuery(self)  # type: ignore[arg-type]
+        """The standard query facade over this router's stored views."""
+        return ServiceQuery(self)
 
     # -- replication endpoints are a single-process feature ------------
     def delta_feed(self, since: int) -> dict[str, Any]:
@@ -1080,14 +980,12 @@ class ShardRouter:
                 sampling_aggregate["max_achieved_epsilon"],
                 float(sampling.get("max_achieved_epsilon", 0.0)),
             )
-        with self._lock:
-            labels_explained = sorted(self._latest)
         return {
             "role": "shard-router",
             "dataset": self.dataset,
             "num_graphs": len(self.database),
             "database_version": self.database.version,
-            "labels_explained": labels_explained,
+            "labels_explained": self.planner.labels_explained(),
             "train_accuracy": self.train_accuracy,
             "test_accuracy": self.test_accuracy,
             "backend": "sparse",
@@ -1157,101 +1055,6 @@ class ShardRouter:
                 "this ShardRouter is closed; its workers have shut down — "
                 "build a fresh router instead"
             )
-
-    # ------------------------------------------------------------------
-    # internals mirrored from the single-process service
-    # ------------------------------------------------------------------
-    def _positions(self) -> dict[int | None, int]:
-        with self._lock:
-            version = self.database.version
-            if self._positions_cache is not None and self._positions_cache[0] == version:
-                return self._positions_cache[1]
-            positions = {
-                graph.graph_id: index
-                for index, graph in enumerate(self.database.graphs)
-            }
-            self._positions_cache = (version, positions)
-            return positions
-
-    def _predicted_labels(self) -> dict[int | None, int]:
-        with self._lock:
-            if self._predicted is None:
-                graphs = [
-                    graph for graph in self.database.graphs if graph.num_nodes() > 0
-                ]
-                assigned = self.model.predict_many(graphs)
-                self._predicted = {
-                    graph.graph_id: label for graph, label in zip(graphs, assigned)
-                }
-            return self._predicted
-
-    def _resolve_label(self, request: ExplainRequest) -> ExplainRequest:
-        if request.label is not None:
-            return request
-        predicted = self._predicted_labels()
-        pool = (
-            [
-                predicted[graph_id]
-                for graph_id in request.graph_ids
-                if graph_id in predicted
-            ]
-            if request.graph_ids is not None
-            else list(predicted.values())
-        )
-        if not pool:
-            raise ExplanationError(
-                "cannot infer a label to explain: the request selects no "
-                "non-empty graphs"
-            )
-        return request.with_label(min(pool))
-
-    def _select_graphs(self, request: ExplainRequest) -> list[Graph]:
-        # Verbatim the single-process selection semantics: id filter in
-        # database order, then test-split-ranked label filter under a limit.
-        if request.graph_ids is not None:
-            wanted = set(request.graph_ids)
-            graphs = [
-                graph for graph in self.database.graphs if graph.graph_id in wanted
-            ]
-        else:
-            graphs = list(self.database.graphs)
-        if request.limit is not None:
-            test_rank = {
-                graph_id: rank for rank, graph_id in enumerate(self._test_ids)
-            }
-            graphs = sorted(
-                graphs,
-                key=lambda graph: test_rank.get(graph.graph_id, len(test_rank)),
-            )
-            predicted = self._predicted_labels()
-            graphs = [
-                graph
-                for graph in graphs
-                if predicted.get(graph.graph_id) == request.label
-            ][: request.limit]
-        return graphs
-
-    def _fingerprint_weights(self) -> str:
-        digest = hashlib.sha256()
-        for layer in self.model.get_weights():
-            for name in sorted(layer):
-                array = np.ascontiguousarray(layer[name])
-                digest.update(name.encode("utf-8"))
-                digest.update(str(array.shape).encode("utf-8"))
-                digest.update(array.tobytes())
-        return digest.hexdigest()
-
-    def _fingerprint_context(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(self._weights_digest.encode("utf-8"))
-        digest.update(str(len(self.database)).encode("utf-8"))
-        digest.update(str(self.database.version).encode("utf-8"))
-        digest.update(str(self._test_ids).encode("utf-8"))
-        return digest.hexdigest()[:12]
-
-    def _cache_key(self, request: ExplainRequest) -> str:
-        prefix = (self.dataset or "custom").lower()
-        return f"{prefix}-{self._context_fingerprint}-{request.fingerprint()}"
 
 
 class ShardSupervisor:

@@ -173,7 +173,8 @@ class ShardHost:
         selection (limit requests rank by the router's test split); running
         the explainer over exactly that sequence keeps single-shard
         deployments byte-identical to the single-process service, whose
-        ``_select_graphs`` produced the same list.
+        :meth:`~repro.api.planner.RequestPlanner.select_graphs` produced the
+        same list.
         """
         request = self._request_from(payload)
         by_id = {graph.graph_id: graph for graph in self.service.database.graphs}
@@ -221,26 +222,25 @@ class ShardHost:
         requests after one retry" guarantee.
         """
         kind = payload["kind"]
+        database = self.service.database
         if kind == "ingest":
             graph = Graph.from_dict(payload["graph"])
             graph_id = payload["graph_id"]
-            if any(g.graph_id == graph_id for g in self.service.database.graphs):
+            if database.has_graph(graph_id):
                 return self._already_applied("ingest", graph_id)
             return self.service.ingest(graph, payload.get("label"), graph_id=graph_id)
         if kind == "remove":
             graph_id = payload["graph_id"]
-            if not any(g.graph_id == graph_id for g in self.service.database.graphs):
+            if not database.has_graph(graph_id):
                 return self._already_applied("remove", graph_id)
             return self.service.remove(graph_id)
         if kind == "relabel":
             graph_id = payload["graph_id"]
             label = payload["label"]
-            database = self.service.database
-            current = {
-                graph.graph_id: stored
-                for graph, stored in zip(database.graphs, database.labels)
-            }
-            if graph_id in current and current[graph_id] == label:
+            if (
+                database.has_graph(graph_id)
+                and database.label_of(database.index_of(graph_id)) == label
+            ):
                 return self._already_applied("relabel", graph_id)
             return self.service.relabel(graph_id, label)
         raise ExplanationError(f"unknown mutation kind {kind!r}")

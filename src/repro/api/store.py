@@ -38,13 +38,7 @@ __all__ = ["ViewStore"]
 class ViewStore:
     """A two-tier (memory LRU + JSON spill directory) result store."""
 
-    def __init__(
-        self,
-        capacity: int = 64,
-        spill_dir: str | Path | None = None,
-        *,
-        graphs_by_id: dict[int | None, Graph] | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = 64, spill_dir: str | Path | None = None) -> None:
         if capacity < 1:
             raise ExplanationError(
                 f"ViewStore capacity must be at least 1, got {capacity}"
@@ -53,9 +47,9 @@ class ViewStore:
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         if self.spill_dir is not None:
             self.spill_dir.mkdir(parents=True, exist_ok=True)
-        # Shared graph index so reloaded subgraphs reuse the service's live
-        # graph objects instead of materialising embedded copies.
-        self._graphs_by_id = graphs_by_id or {}
+        # Graph index the owner's planner installs, so reloaded subgraphs
+        # reuse its live graph objects instead of embedded copies.
+        self.graphs_by_id: dict[int | None, Graph] = {}
         self._memory: OrderedDict[str, ExplanationResult] = OrderedDict()
         # Auxiliary snapshot tier (e.g. ViewMaintainer state for warm
         # restarts): opaque JSON payloads, one per key, kept out of the LRU
@@ -82,7 +76,7 @@ class ViewStore:
                 return result
             path = self._spill_path(key)
             if path is not None and path.is_file():
-                loaded = load_artifact(path, graphs_by_id=self._graphs_by_id)
+                loaded = load_artifact(path, graphs_by_id=self.graphs_by_id)
                 if not isinstance(loaded, ExplanationResult):
                     raise ExplanationError(
                         f"spill file {path} does not hold an explanation result"

@@ -17,6 +17,9 @@ one request → result contract:
   satisfies.  ``ApproxGVEX`` and ``StreamGVEX`` conform natively; the
   instance-level baselines conform through
   :class:`~repro.api.registry.InstanceViewExplainer`.
+* :class:`ServiceSurface` — the protocol the HTTP server binds to, which
+  :class:`~repro.api.service.ExplanationService` and
+  :class:`~repro.api.sharding.ShardRouter` both implement.
 
 ``SCHEMA_VERSION`` stamps every wire envelope ``repro.api.serialize``
 emits — view/result artifacts *and* the durability formats that reuse the
@@ -32,12 +35,16 @@ import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Any, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.core.config import Configuration
-from repro.core.explanation import ExplanationSubgraph, ExplanationView
+from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
 from repro.exceptions import ExplanationError
+from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
+
+if TYPE_CHECKING:
+    from repro.api.service import ServiceQuery
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -45,6 +52,7 @@ __all__ = [
     "Provenance",
     "ExplanationResult",
     "Explainer",
+    "ServiceSurface",
 ]
 
 # Version of the serialised explanation artifacts (views, results, stores).
@@ -243,3 +251,55 @@ class ExplanationResult:
         return ExplanationResult(
             view=self.view, provenance=replace(self.provenance, cache_hit=True)
         )
+
+
+@runtime_checkable
+class ServiceSurface(Protocol):
+    """What :mod:`repro.api.server` binds to.
+
+    Exactly the members the server reaches, directly or through the
+    :class:`~repro.api.service.ServiceQuery` that ``query()`` returns.
+    :class:`~repro.api.service.ExplanationService` and
+    :class:`~repro.api.sharding.ShardRouter` implement it; a
+    :class:`~repro.api.replication.ReplicaService` serves through its inner
+    ``ExplanationService``.
+    """
+
+    database: GraphDatabase
+    model: Any
+
+    def explain(
+        self,
+        request: ExplainRequest | None = None,
+        *,
+        algorithm: str = "approx",
+        label: int | None = None,
+        max_nodes: int | None = None,
+        config: Configuration | None = None,
+        graph_ids: Sequence[int] | None = None,
+        limit: int | None = None,
+    ) -> ExplanationResult: ...
+
+    def ingest(
+        self, graph: Graph, label: int | None = None, *, graph_id: int | None = None
+    ) -> dict[str, Any]: ...
+
+    def remove(self, graph_id: int) -> dict[str, Any]: ...
+
+    def relabel(self, graph_id: int, label: int) -> dict[str, Any]: ...
+
+    def enable_live_views(self) -> Any: ...
+
+    def live_views(self) -> ExplanationViewSet: ...
+
+    def view_set(self) -> ExplanationViewSet: ...
+
+    def results(self) -> list[ExplanationResult]: ...
+
+    def query(self) -> ServiceQuery: ...
+
+    def stats(self) -> dict[str, Any]: ...
+
+    def delta_feed(self, since: int) -> dict[str, Any]: ...
+
+    def replication_snapshot(self) -> dict[str, Any]: ...

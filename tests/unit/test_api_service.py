@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.api import (
@@ -79,14 +81,14 @@ class TestExplainAndCache:
     def test_limited_selection_puts_test_split_graphs_first(self):
         """The paper explains the test split; limits must respect that."""
         trained = ExplanationService("SYN", epochs=3, num_graphs=8, seed=11)
-        assert trained._test_ids, "train path should record the test split"
+        assert trained.planner.test_ids, "train path should record the test split"
         request = ExplainRequest(algorithm="approx", limit=2)
-        request = trained._resolve_label(request)
-        selected = trained._select_graphs(request)
-        predicted = trained._predicted_labels()
+        request = trained.planner.resolve_label(request)
+        selected = trained.planner.select_graphs(request)
+        predicted = trained.planner.predicted_labels()
         expected = [
             graph_id
-            for graph_id in trained._test_ids
+            for graph_id in trained.planner.test_ids
             if predicted.get(graph_id) == request.label
         ]
         for graph, graph_id in zip(selected, expected):
@@ -172,7 +174,7 @@ class TestStoreSpill:
         assert views_equal(original.view, warm.view)
         # Reloaded subgraphs resolve against the live database objects.
         assert all(
-            subgraph.source_graph is restarted._graphs_by_id[subgraph.source_graph.graph_id]
+            subgraph.source_graph is restarted.planner.graphs_by_id[subgraph.source_graph.graph_id]
             for subgraph in warm.view.subgraphs
         )
 
@@ -200,7 +202,7 @@ class TestStoreSpill:
         first.explain(algorithm="random", limit=2, max_nodes=3)
         other = second.explain(algorithm="random", limit=2, max_nodes=3)
         assert other.provenance.cache_hit is False
-        assert first._context_fingerprint != second._context_fingerprint
+        assert first.planner.context_fingerprint != second.planner.context_fingerprint
 
 
 class TestQueryFacade:
@@ -356,15 +358,84 @@ class TestDynamicDatabase:
         live_service.explain(algorithm="approx", label=1)  # builds the memo
         graph = mut_pool[10]
         live_service.ingest(graph, mut_database.labels[10])
-        assert graph.graph_id in live_service._predicted_labels()
+        assert graph.graph_id in live_service.planner.predicted_labels()
         live_service.remove(graph.graph_id)
-        assert graph.graph_id not in live_service._predicted_labels()
+        assert graph.graph_id not in live_service.planner.predicted_labels()
+
+    def test_memo_build_keeps_a_graph_ingested_meanwhile(
+        self, live_service, mut_database, mut_pool, monkeypatch
+    ):
+        """A graph ingested on another thread while the predicted-label memo
+        is being built must still enter it, or label-resolved and limited
+        selections skip that graph until restart."""
+        model = live_service.model
+        real_predict_many = model.predict_many
+        newcomer = mut_pool[12]
+        ingested = threading.Event()
+
+        def ingest() -> None:
+            live_service.ingest(newcomer, mut_database.labels[12])
+            ingested.set()
+
+        racer = threading.Thread(target=ingest)
+
+        def predict_many(graphs):
+            if not racer.is_alive() and not ingested.is_set():
+                racer.start()
+                # Give the ingest its chance to land mid-build (it waits
+                # for the lock where the memo is built under it).
+                ingested.wait(timeout=1.0)
+            return real_predict_many(graphs)
+
+        monkeypatch.setattr(model, "predict_many", predict_many)
+        first = live_service.database.graphs[0].graph_id
+        live_service.explain(algorithm="approx", graph_ids=[first], max_nodes=3)
+        racer.join(timeout=30)
+        assert ingested.is_set()
+        resolved = live_service.explain(
+            algorithm="approx", graph_ids=[newcomer.graph_id], max_nodes=3
+        )
+        assert resolved.provenance.label == model.predict(newcomer)
+
+    def test_result_planned_before_a_mutation_is_not_recorded(
+        self, live_service, mut_database, mut_pool, monkeypatch
+    ):
+        """An explain that a mutation overtakes still answers its caller, but
+        its view of the old contents must not become the label's latest nor
+        stay behind in the store."""
+        import repro.api.service as service_module
+
+        real_create = service_module.create_explainer
+
+        def create_explainer(*args, **kwargs):
+            explainer = real_create(*args, **kwargs)
+            explain_label = explainer.explain_label
+
+            def overtaken(graphs, label):
+                view = explain_label(graphs, label)
+                racer = threading.Thread(
+                    target=live_service.ingest,
+                    args=(mut_pool[10], mut_database.labels[10]),
+                )
+                racer.start()
+                racer.join()
+                return view
+
+            explainer.explain_label = overtaken
+            return explainer
+
+        monkeypatch.setattr(service_module, "create_explainer", create_explainer)
+        result = live_service.explain(algorithm="approx", label=1, max_nodes=3)
+        assert result.provenance.num_graphs == 10
+        assert len(live_service.database) == 11
+        assert live_service.results() == []
+        assert live_service.store.stats()["memory_entries"] == 0
 
     def test_close_stops_tracking(self, live_service, mut_database, mut_pool):
         live_service.close()
-        version = live_service._context_fingerprint
+        version = live_service.planner.context_fingerprint
         live_service.database.add_graph(mut_pool[14], mut_database.labels[14])
-        assert live_service._context_fingerprint == version
+        assert live_service.planner.context_fingerprint == version
 
 
 class TestMaintainerWarmRestart:
@@ -539,7 +610,7 @@ class TestSnapshotIdentity:
         self, live_service, mut_pool, mut_database
     ):
         live_service.enable_live_views()
-        live_service._predicted_labels()  # warm the memo
+        live_service.planner.predicted_labels()  # warm the memo
         calls = {"n": 0}
         real_predict = live_service.model.predict
 
