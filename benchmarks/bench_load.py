@@ -20,9 +20,9 @@ honest single-core expectation: sharding must never *cost* throughput
 beyond scheduler noise.
 
 ``sharded_identical`` asserts the tier's correctness contract alongside
-the throughput numbers: whole-database stream explains are
-signature-identical to the single-process service at every shard count,
-and a 1-shard router is identical for approx requests too.
+the throughput numbers: whole-database stream explains and approx
+explains are signature-identical to the single-process service at every
+shard count.
 
 ``--chaos`` adds a failure-injection arm: a supervised router serves live
 load while worker 0 is SIGKILLed; the report gains recovery time, the
@@ -316,12 +316,11 @@ def check_identity(database, model, config, shard_counts) -> bool:
                     got = view_signature(router.explain(algorithm="stream", label=label).view)
                     if got != stream_expected[label]:
                         return False
-                if num_shards == 1:
-                    got = view_signature(
-                        router.explain(algorithm="approx", label=labels[-1], max_nodes=6).view
-                    )
-                    if got != approx_expected:
-                        return False
+                got = view_signature(
+                    router.explain(algorithm="approx", label=labels[-1], max_nodes=6).view
+                )
+                if got != approx_expected:
+                    return False
             finally:
                 router.close()
         return True

@@ -9,10 +9,9 @@ drives the whole tier in one file:
 
 1. build a trained context and a 4-shard :class:`repro.api.sharding.ShardRouter`
    (fork workers, per-shard WALs, shared-memory snapshots),
-2. show answer identity — whole-database stream explains are
-   signature-identical to a single-process :class:`ExplanationService` —
-   and where multi-shard approx answers *intentionally* differ (merged-shard
-   semantics, like ``parallel_explain``),
+2. show answer identity — stream and approx explains are
+   signature-identical to a single-process :class:`ExplanationService`
+   (shards return per-graph rows; the router assembles once),
 3. route mutations to owning shards and watch the per-shard WALs grow,
 4. SIGKILL a worker and let the router respawn it from bootstrap + WAL
    replay — the next request just works,
@@ -97,10 +96,11 @@ def main() -> None:
     print(f"stream explain at 4 shards: signature-identical "
           f"({len(sharded.view.subgraphs)} witnesses)")
 
-    merged = router.explain(algorithm="approx", label=label, max_nodes=6)
-    print("approx at 4 shards: merged from",
-          merged.view.metadata.get("merged_from"), "shard views "
-          "(merged-shard semantics, not the single-process greedy order)")
+    sharded = router.explain(algorithm="approx", label=label, max_nodes=6)
+    control = oracle.explain(algorithm="approx", label=label, max_nodes=6)
+    assert view_signature(sharded.view) == view_signature(control.view)
+    print(f"approx explain at 4 shards: signature-identical "
+          f"({len(sharded.view.patterns)} patterns)")
 
     # ------------------------------------------------------------------
     # 3. mutations route to the owning shard's WAL

@@ -49,7 +49,6 @@ from repro.core import (
     ExplanationViewSet,
     GraphAnalysis,
     ViewMaintainer,
-    parallel_explain,
     verify_view,
 )
 from repro.datasets import available_datasets, load_dataset
@@ -75,7 +74,6 @@ __all__ = [
     "ExplanationViewSet",
     "ViewMaintainer",
     "DatabaseDelta",
-    "parallel_explain",
     "verify_view",
     "ExplanationService",
     "ExplainRequest",

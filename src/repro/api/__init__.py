@@ -10,7 +10,7 @@
 * :mod:`repro.api.serialize` — versioned, lossless JSON persistence of
   views (``save_artifact`` / ``load_artifact``) plus the published schema;
 * :class:`ExplanationService` — session object owning the model + database
-  lifecycle, the fingerprint-keyed result cache, parallel fan-out, and the
+  lifecycle, the fingerprint-keyed result cache, and the
   :class:`ServiceQuery` facade (durable when given a ``wal_dir``);
 * :func:`create_server` / :func:`serve` — the ``repro serve`` JSON/HTTP
   endpoint (every route under ``/v1``), bound to any

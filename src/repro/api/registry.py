@@ -55,10 +55,16 @@ class InstanceViewExplainer:
     """
 
     def __init__(self, base: Any, config: Configuration | None = None) -> None:
+        from repro.mining.candidates import PatternGenerator
+
         self.base = base
         self.model = base.model
         self.config = config or Configuration()
         self.name = getattr(base, "name", type(base).__name__)
+        self.pattern_generator = PatternGenerator(
+            max_pattern_size=self.config.max_pattern_size,
+            max_candidates=self.config.max_pattern_candidates,
+        )
 
     def explain_instance(self, graph: Graph) -> ExplanationSubgraph:
         return self.base.explain_instance(graph)
@@ -74,38 +80,26 @@ class InstanceViewExplainer:
             raise AttributeError(attr)
         return getattr(self.base, attr)
 
-    def explain_label(self, graphs: Sequence[Graph], label: int) -> ExplanationView:
-        from repro.core.summarize import summarize_subgraphs
-        from repro.mining.candidates import PatternGenerator
-
-        start = time.perf_counter()
+    def explain_rows(self, graphs: Sequence[Graph], label: int) -> list[ExplanationSubgraph]:
+        """One instance explanation per non-empty graph the model assigns ``label``."""
         graphs = [graph for graph in graphs if graph.num_nodes() > 0]
         predicted = self.model.predict_many(graphs)
-        subgraphs = [
+        return [
             self.base.explain_instance(graph)
             for graph, assigned in zip(graphs, predicted)
             if assigned == label
         ]
-        summary = summarize_subgraphs(
-            [subgraph.subgraph() for subgraph in subgraphs],
-            pattern_generator=PatternGenerator(
-                max_pattern_size=self.config.max_pattern_size,
-                max_candidates=self.config.max_pattern_candidates,
-            ),
-        )
-        return ExplanationView(
-            label=label,
-            patterns=summary.patterns,
-            subgraphs=subgraphs,
-            explainability=float(sum(subgraph.explainability for subgraph in subgraphs)),
-            metadata={
-                "algorithm": self.name,
-                "edge_loss": summary.edge_loss,
-                "node_coverage": summary.node_coverage,
-                "fallback_singletons": summary.fallback_singletons,
-                "runtime_seconds": time.perf_counter() - start,
-            },
-        )
+
+    def assemble(
+        self, rows: Sequence[ExplanationSubgraph], label: int, start: float
+    ) -> ExplanationView:
+        from repro.core.approx import assemble_view
+
+        return assemble_view(rows, label, self.pattern_generator, self.name, start)
+
+    def explain_label(self, graphs: Sequence[Graph], label: int) -> ExplanationView:
+        start = time.perf_counter()
+        return self.assemble(self.explain_rows(graphs, label), label, start)
 
 
 class ExplainerRegistry:

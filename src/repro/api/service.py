@@ -388,63 +388,23 @@ class ExplanationService:
         max_nodes: int | None = None,
         config: Configuration | None = None,
         limit: int | None = None,
-        num_workers: int = 1,
     ) -> list[ExplanationResult]:
-        """Fan an explanation job out over every label of interest.
-
-        ``num_workers > 1`` routes the uncached labels of the two GVEX
-        algorithms through :func:`repro.core.parallel.parallel_explain`
-        (process-pool sharding with per-worker model unpickling); cached
-        labels are served from the store either way.
-        """
+        """One explanation per label of interest (every predicted label by
+        default); cached labels are served from the store.  Fanning the
+        graphs out over worker processes is
+        :class:`~repro.api.sharding.ShardRouter`'s job."""
         if labels is None:
             labels = sorted(set(self.planner.predicted_labels().values()))
-        planned = {
-            label: self.planner.plan(
-                ExplainRequest(
-                    algorithm=algorithm,
-                    label=label,
-                    config=config or self.config,
-                    max_nodes=max_nodes,
-                    limit=limit,
-                )
+        return [
+            self.explain(
+                algorithm=algorithm,
+                label=label,
+                max_nodes=max_nodes,
+                config=config,
+                limit=limit,
             )
             for label in labels
-        }
-        results = {
-            label: cached
-            for label, (_, _, cached) in planned.items()
-            if cached is not None
-        }
-        pending = [label for label in planned if label not in results]
-
-        parallelizable = algorithm in ("approx", "stream") and limit is None
-        if pending and num_workers > 1 and parallelizable:
-            from repro.core.parallel import parallel_explain
-
-            sample = planned[pending[0]][0]
-            start = time.perf_counter()
-            views = parallel_explain(
-                self.model,
-                self.database,
-                config=sample.effective_config(),
-                labels=pending,
-                num_workers=num_workers,
-                algorithm=algorithm,
-            )
-            elapsed = time.perf_counter() - start
-            graphs = self.database.graphs
-            for label in pending:
-                request, key, _ = planned[label]
-                result = self.planner.build_result(
-                    request, views.view_for(label), graphs, elapsed / len(pending)
-                )
-                self.planner.record(key, result)
-                results[label] = result
-        else:
-            for label in pending:
-                results[label] = self.explain(planned[label][0])
-        return [results[label] for label in labels]
+        ]
 
     # ------------------------------------------------------------------
     # the dynamic-database surface (ingest / remove / relabel)

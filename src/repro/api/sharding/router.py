@@ -9,18 +9,17 @@ against a deterministic :class:`ShardPlan`:
 
 * **mutations** (``ingest``/``remove``/``relabel``) route to the single
   owning shard, whose worker appends to its own contiguous WAL stream;
-* **whole-database stream explanations** fan ``stream_rows`` out and the
-  router reassembles the per-graph rows in global database order — each
-  row's node stream is seeded per graph, so the assembled view is identical
-  to a single-process StreamGVEX run at any shard count;
-* **everything else** fans per-shard explanations out and merges them with
-  the same :func:`merge_views` discipline the parallel runner uses (a
-  single-shard deployment skips the merge and is byte-identical to the
-  single-process service for every request type).  At any shard count an
-  approx view holds, for every graph, the same explanation node set as the
-  single-process service (each graph is explained on its own); only the
-  pattern set differs, because each shard summarises its own subgraphs and
-  the merge unions the per-shard patterns.
+* **explanations** cross the fan-out boundary only as per-graph rows, and
+  the router assembles every view once.  Whole-database stream requests
+  gather each shard's maintained ``stream_rows``; every other request
+  (approx, baselines, stream with ``graph_ids``/``limit``) sends each shard
+  its members of the router's global selection (``explain_rows``).  The
+  rows go back into global order and one assembly builds the view: the
+  stream law of :func:`~repro.core.maintenance.assemble_view_from_rows`,
+  or one summarize pass over all explanation subgraphs
+  (:func:`~repro.core.approx.assemble_view`).  Each row depends on its
+  graph alone (stream node orders are seeded per graph), so every answer
+  is identical to the single-process service at any shard count.
 
 Failure semantics: one outstanding request per worker (a per-shard mutex),
 a request timeout, and on timeout or a broken pipe the worker is respawned
@@ -76,7 +75,7 @@ from repro.core.config import Configuration
 from repro.core.explanation import ExplanationViewSet
 from repro.core.faults import activate_from_config, fault_point
 from repro.core.maintenance import assemble_view_from_rows
-from repro.core.parallel import merge_views
+from repro.core.streaming import StreamGVEX
 from repro.exceptions import ExplanationError, PoisonRequestError, ShardDownError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -102,9 +101,8 @@ _SHARD_MISSING = object()
 class _InlineWorker:
     """A shard host driven in-process.
 
-    The fallback backend for sandboxes that forbid ``fork``/``spawn`` (the
-    same degradation :func:`repro.core.parallel.parallel_explain` ships),
-    and the oracle the unit tests drive: identical op surface, identical
+    The fallback backend for sandboxes that forbid ``fork``/``spawn``, and
+    the oracle the unit tests drive: identical op surface, identical
     bootstrap/respawn lifecycle, no process boundary.  ``kill`` simulates a
     crash by refusing further requests until the router respawns the host
     from its bootstrap payload.
@@ -703,13 +701,13 @@ class ShardRouter:
 
         start = time.perf_counter()
         # Whole-database stream requests under the workers' maintained
-        # configuration reassemble from rows (identical at any shard
-        # count); anything else takes the fan-out/merge path.
+        # configuration assemble the shards' maintained rows; anything else
+        # has the shards compute rows for the selected graphs.
         if self.planner.is_whole_stream(request, self.config):
             view, missing_shards = self._stream_view(request)
             graphs = self.database.graphs
         else:
-            view, graphs, missing_shards = self._fanout_view(request)
+            view, graphs, missing_shards = self._rows_view(request)
         result = self.planner.build_result(
             request, view, graphs, time.perf_counter() - start, missing_shards
         )
@@ -751,49 +749,53 @@ class ShardRouter:
             missing_shards,
         )
 
-    def _fanout_view(self, request: ExplainRequest):
+    def _rows_view(self, request: ExplainRequest):
+        """Fan the selected graphs out as rows, then assemble once.
+
+        The selection (id filter, test-split ranking, limit) is a *global*
+        decision made here.  Each shard computes the rows of its members;
+        the rows go back into request order and one assembly builds the
+        view, exactly as the single-process explainer does over the same
+        list.
+        """
+        graphs = self.planner.select_graphs(request)
+        groups: dict[int, list[int]] = {}
+        for graph in graphs:
+            groups.setdefault(self.plan.shard_of(graph.graph_id), []).append(graph.graph_id)
         base = {
             "algorithm": request.algorithm,
             "label": request.label,
             "max_nodes": request.max_nodes,
             "config": request.config.canonical_dict(),
         }
-        if request.graph_ids is not None or request.limit is not None:
-            # The selection (id filter, test-split ranking, limit) is a
-            # *global* decision made here; each shard explains exactly its
-            # members of the ordered result, so a 1-shard tier reproduces
-            # the single-process service's list verbatim.
-            graphs = self.planner.select_graphs(request)
-            groups: dict[int, list[int]] = {}
-            for graph in graphs:
-                shard = self.plan.shard_of(graph.graph_id)
-                groups.setdefault(shard, []).append(graph.graph_id)
-            calls = [
-                (shard, "explain_ordered", base | {"graph_ids": ids})
+        start = time.perf_counter()
+        responses, missing_shards = self._gather(
+            [
+                (shard, "explain_rows", base | {"graph_ids": ids})
                 for shard, ids in sorted(groups.items())
             ]
-        else:
-            graphs = self.database.graphs
-            sizes = self.plan.shard_sizes(self.database)
-            involved = [shard for shard, size in enumerate(sizes) if size > 0] or [0]
-            calls = [(shard, "explain", dict(base)) for shard in involved]
-        responses, missing_shards = self._gather(calls)
-        views = [
-            view_from_dict(response["view"], graphs_by_id=self.planner.graphs_by_id)
-            for response in responses
-        ]
-        if not views:
-            # An empty selection, or every involved shard was down (then a
-            # degraded answer degenerates to an empty but well-formed,
-            # correctly flagged view).
-            explainer = create_explainer(
-                request.algorithm, self.model, config=request.effective_config()
+        )
+        position = {graph.graph_id: index for index, graph in enumerate(graphs)}
+        explainer = create_explainer(
+            request.algorithm, self.model, config=request.effective_config()
+        )
+        if isinstance(explainer, StreamGVEX):
+            rows = [row for response in responses for row in response["rows"]]
+            rows.sort(key=lambda row: position[row["graph_id"]])
+            view = assemble_view_from_rows(
+                rows, request.label, self.planner.graphs_by_id,
+                batch_size=explainer.batch_size,
             )
-            view = explainer.explain_label([], request.label)
-        elif len(views) == 1:
-            view = views[0]
         else:
-            view = merge_views(views, request.label)
+            subgraphs = [
+                subgraph
+                for response in responses
+                for subgraph in view_from_dict(
+                    response["view"], graphs_by_id=self.planner.graphs_by_id
+                ).subgraphs
+            ]
+            subgraphs.sort(key=lambda subgraph: position[subgraph.source_graph.graph_id])
+            view = explainer.assemble(subgraphs, request.label, start)
         return view, graphs, missing_shards
 
     # ------------------------------------------------------------------

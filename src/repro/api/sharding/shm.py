@@ -181,9 +181,8 @@ def _pack_specs(view: SparseGraphView, offset: int) -> tuple[dict[str, Any], int
 def create_arena(graphs: list[Graph], *, name_hint: str = "repro-views") -> SharedViewArena:
     """Pack every graph's CSR view into one fresh shared-memory block.
 
-    Builds (or reuses) each graph's :meth:`Graph.sparse_view` on the way —
-    the same warm-up the parallel warm-worker machinery does — then copies
-    the arrays into the block once.  Raises ``ExplanationError`` when the
+    Builds (or reuses) each graph's :meth:`Graph.sparse_view` on the way,
+    then copies the arrays into the block once.  Raises ``ExplanationError`` when the
     platform has no shared-memory support; raises ``OSError`` /
     ``PermissionError`` straight through when the OS refuses the block, so
     the router can fall back to private views.

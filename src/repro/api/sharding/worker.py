@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Any
 
 from repro.api.registry import create_explainer
@@ -31,7 +30,9 @@ from repro.api.service import ExplanationService
 from repro.api.sharding.shm import attach_arena
 from repro.api.types import ExplainRequest
 from repro.core.config import Configuration
+from repro.core.explanation import ExplanationView
 from repro.core.faults import FaultPlan, activate, fault_point
+from repro.core.streaming import StreamGVEX
 from repro.exceptions import ExplanationError, ReproError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -46,8 +47,7 @@ class ShardHost:
     #: router/worker version skew fails fast instead of hanging the pipe.
     OPS = (
         "ping",
-        "explain",
-        "explain_ordered",
+        "explain_rows",
         "stream_rows",
         "mutate",
         "deltas",
@@ -151,53 +151,34 @@ class ShardHost:
             max_nodes=payload.get("max_nodes"),
         )
 
-    def _op_explain(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Whole-shard explanation through the service (worker-side cache).
+    def _op_explain_rows(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """Per-graph rows of an explicit, ordered list of this shard's graphs.
 
-        Only for requests without ``graph_ids``/``limit``: those selections
-        are global decisions the router makes (it owns the test split and
-        the predicted-label memo) and ships as :meth:`_op_explain_ordered`.
-        """
-        result = self.service.explain(self._request_from(payload))
-        return {
-            "view": view_to_dict(result.view, include_source=False),
-            "runtime_seconds": result.provenance.runtime_seconds,
-            "cached": result.provenance.cache_hit,
-            "num_graphs": result.provenance.num_graphs,
-        }
-
-    def _op_explain_ordered(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Explain an explicit, ordered subset of this shard's graphs.
-
-        The router sends each shard its members of a *globally* ordered
-        selection (limit requests rank by the router's test split); running
-        the explainer over exactly that sequence keeps single-shard
-        deployments byte-identical to the single-process service, whose
-        :meth:`~repro.api.planner.RequestPlanner.select_graphs` produced the
-        same list.
+        The router selects the graphs (it owns the test split and the
+        predicted-label memo), sends each shard its members in request
+        order, and assembles the rows of every shard once.  Stream rows are
+        :meth:`~repro.core.maintenance.ViewMaintainer.row_payloads`; any
+        other algorithm answers with a pattern-less view whose subgraphs are
+        the rows.
         """
         request = self._request_from(payload)
-        by_id = {graph.graph_id: graph for graph in self.service.database.graphs}
+        database = self.service.database
         graphs = []
         for graph_id in payload["graph_ids"]:
-            graph = by_id.get(graph_id)
-            if graph is None:
+            if not database.has_graph(graph_id):
                 raise ExplanationError(
                     f"shard {self.shard_index} does not hold graph {graph_id!r}; "
                     "the router's placement and this worker disagree"
                 )
-            graphs.append(graph)
+            graphs.append(database.graph_by_id(graph_id))
         explainer = create_explainer(
             request.algorithm, self.service.model, config=request.effective_config()
         )
-        start = time.perf_counter()
-        view = explainer.explain_label(graphs, request.label)
-        return {
-            "view": view_to_dict(view, include_source=False),
-            "runtime_seconds": time.perf_counter() - start,
-            "cached": False,
-            "num_graphs": len(graphs),
-        }
+        label = request.label
+        if isinstance(explainer, StreamGVEX):
+            return {"rows": explainer.maintain(graphs, label).row_payloads(label)}
+        view = ExplanationView(label, subgraphs=explainer.explain_rows(graphs, label))
+        return {"view": view_to_dict(view, include_source=False)}
 
     def _op_stream_rows(self, payload: dict[str, Any]) -> dict[str, Any]:
         """This shard's maintained stream rows (the snapshot wire format).

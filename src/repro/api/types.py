@@ -68,7 +68,10 @@ class Explainer(Protocol):
     The two GVEX algorithms satisfy this protocol as-is; baselines are
     adapted.  ``explain_label`` is the view-producing entry point (the unit
     of caching and serving); ``explain_instance`` is the single-graph
-    convenience used by the comparison experiments.
+    convenience used by the comparison experiments.  The sharded tier also
+    needs ``explain_label`` split in two: ``explain_rows`` (per-graph rows,
+    computed on the shards) and ``assemble`` (one pass over every row, on
+    the router) — ``StreamGVEX`` answers with maintainer rows instead.
     """
 
     model: Any

@@ -13,7 +13,6 @@ from repro.core.caching import LRUCache
 from repro.core.config import Configuration, CoverageBound
 from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
 from repro.core.maintenance import MaintainedExplanation, NodeStreamProcessor, ViewMaintainer
-from repro.core.parallel import merge_views, parallel_explain
 from repro.core.quality import CoverageState, GraphAnalysis, view_explainability
 from repro.core.selection import lazy_greedy_select
 from repro.core.summarize import SummarizeResult, pattern_weight, summarize_subgraphs
@@ -40,7 +39,5 @@ __all__ = [
     "MaintainedExplanation",
     "NodeStreamProcessor",
     "ViewMaintainer",
-    "parallel_explain",
-    "merge_views",
     "PatternOccurrence",
 ]

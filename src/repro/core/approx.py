@@ -11,8 +11,10 @@ For a single source graph the algorithm
    is met (returning nothing when that is impossible), and
 4. summarises the induced explanation subgraphs into patterns with ``Psum``.
 
-The driver :class:`ApproxGVEX` applies this per graph of a label group and
-assembles the per-label :class:`~repro.core.explanation.ExplanationView`.
+:class:`ApproxGVEX` applies this per graph of a label group
+(:meth:`~ApproxGVEX.explain_rows`) and assembles the per-label
+:class:`~repro.core.explanation.ExplanationView` once over all rows
+(:func:`assemble_view`).
 Growth and top-up run the CELF engine of :mod:`repro.core.selection`.  The
 greedy tie-break and the counterfactual swap loop score their candidates
 from probe families (:class:`~repro.graphs.sparse.SubsetFamily`): one
@@ -45,7 +47,7 @@ from repro.graphs.subgraph import induced_subgraph
 from repro.matching.engine import apply_config_cache_size
 from repro.mining.candidates import PatternGenerator
 
-__all__ = ["ApproxGVEX"]
+__all__ = ["ApproxGVEX", "assemble_view"]
 
 
 class ApproxGVEX:
@@ -315,34 +317,33 @@ class ApproxGVEX:
         """Predicted label per graph (one batched pass for the whole group)."""
         return self.model.predict_many(graphs)
 
-    def explain_label(self, graphs: Sequence[Graph], label: int) -> ExplanationView:
-        """Explanation view for one label group (graphs the GNN assigns ``label``)."""
-        start = time.perf_counter()
-        subgraphs: list[ExplanationSubgraph] = []
+    def explain_rows(self, graphs: Sequence[Graph], label: int) -> list[ExplanationSubgraph]:
+        """The explanation phase over a label group: one row per graph.
+
+        A row is the explanation subgraph of a graph the GNN assigns
+        ``label``, in input order; graphs without one (Algorithm 1 lines
+        16-17) contribute no row.  Each row depends on its graph alone, which
+        is what lets a sharded tier compute rows anywhere and assemble once.
+        """
+        rows: list[ExplanationSubgraph] = []
         for graph, predicted in zip(graphs, self._predicted_labels(graphs)):
             if predicted != label:
                 continue
             explanation = self.explain_graph(graph, label)
             if explanation is not None:
-                subgraphs.append(explanation)
-        summary = summarize_subgraphs(
-            [explanation.subgraph() for explanation in subgraphs],
-            pattern_generator=self.pattern_generator,
-        )
-        view = ExplanationView(
-            label=label,
-            patterns=summary.patterns,
-            subgraphs=subgraphs,
-            explainability=float(sum(explanation.explainability for explanation in subgraphs)),
-            metadata={
-                "algorithm": "ApproxGVEX",
-                "edge_loss": summary.edge_loss,
-                "node_coverage": summary.node_coverage,
-                "fallback_singletons": summary.fallback_singletons,
-                "runtime_seconds": time.perf_counter() - start,
-            },
-        )
-        return view
+                rows.append(explanation)
+        return rows
+
+    def assemble(
+        self, rows: Sequence[ExplanationSubgraph], label: int, start: float
+    ) -> ExplanationView:
+        """This explainer's view over ``rows`` (see :func:`assemble_view`)."""
+        return assemble_view(rows, label, self.pattern_generator, "ApproxGVEX", start)
+
+    def explain_label(self, graphs: Sequence[Graph], label: int) -> ExplanationView:
+        """Explanation view for one label group (graphs the GNN assigns ``label``)."""
+        start = time.perf_counter()
+        return self.assemble(self.explain_rows(graphs, label), label, start)
 
     def explain(
         self,
@@ -384,3 +385,39 @@ class ApproxGVEX:
     def induced_view_subgraphs(self, view: ExplanationView) -> list[Graph]:
         """Materialised subgraph objects of a view (utility for case studies)."""
         return [induced_subgraph(sub.source_graph, sub.nodes) for sub in view.subgraphs]
+
+
+def assemble_view(
+    rows: Sequence[ExplanationSubgraph],
+    label: int,
+    pattern_generator: PatternGenerator,
+    algorithm: str,
+    start: float,
+) -> ExplanationView:
+    """The summarize step: one label's two-tier view from its per-graph rows.
+
+    One ``Psum`` pass over *all* explanation subgraphs of the label group,
+    in row order, plus the view and its metadata (``runtime_seconds`` counts
+    from the ``perf_counter`` timestamp ``start``).  Every explain-and-
+    summarize view is built here: :meth:`ApproxGVEX.explain_label`, the
+    baseline adapter, and the shard router over rows gathered from every
+    shard and put back in request order, so a sharded answer is the
+    single-process answer.
+    """
+    rows = list(rows)
+    summary = summarize_subgraphs(
+        [row.subgraph() for row in rows], pattern_generator=pattern_generator
+    )
+    return ExplanationView(
+        label=label,
+        patterns=summary.patterns,
+        subgraphs=rows,
+        explainability=float(sum(row.explainability for row in rows)),
+        metadata={
+            "algorithm": algorithm,
+            "edge_loss": summary.edge_loss,
+            "node_coverage": summary.node_coverage,
+            "fallback_singletons": summary.fallback_singletons,
+            "runtime_seconds": time.perf_counter() - start,
+        },
+    )

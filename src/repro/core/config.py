@@ -112,8 +112,8 @@ class Configuration:
         ``(pattern.canonical_key(), graph version)``.  Every coverage
         predicate, view-verification check, mining support count and
         explanation query shares the memo; ``0`` disables match memoisation.
-        Applied when an explainer is built (and in every parallel worker's
-        initializer), since the engine is shared by the whole process.
+        Applied when an explainer is built (in every shard worker too),
+        since the engine is shared by the whole process.
     seed:
         Seed for every randomised choice made under this configuration —
         most importantly the shuffled node arrival order of ``StreamGVEX``

@@ -794,26 +794,12 @@ class ViewMaintainer:
 
     def _build_view(self, label: int) -> ExplanationView:
         rows = [row for row in self._ordered_rows() if row.label == label]
-        subgraphs = [row.subgraph for row in rows if row.subgraph is not None]
-        patterns: dict[tuple, GraphPattern] = {}
-        for row in rows:
-            for pattern in row.patterns:
-                patterns.setdefault(pattern.canonical_key(), pattern)
-        pattern_list = list(patterns.values())
-        for index, pattern in enumerate(pattern_list):
-            pattern.pattern_id = index
         histories = [row.history for row in rows] if self.record_history else []
-        return ExplanationView(
-            label=label,
-            patterns=pattern_list,
-            subgraphs=subgraphs,
-            explainability=float(sum(subgraph.explainability for subgraph in subgraphs)),
-            metadata={
-                "algorithm": "StreamGVEX",
-                "batch_size": self.processor.batch_size,
-                "runtime_seconds": float(sum(row.runtime_seconds for row in rows)),
-                "histories": histories,
-            },
+        return _assemble_stream_view(
+            ((row.subgraph, row.patterns, row.runtime_seconds) for row in rows),
+            label,
+            self.processor.batch_size,
+            histories,
         )
 
     def verify_label(self, label: int) -> dict[str, Any]:
@@ -893,6 +879,23 @@ class ViewMaintainer:
             "runtime_seconds": row.runtime_seconds,
         }
 
+    @staticmethod
+    def _subgraph_from_payload(
+        entry: dict[str, Any], graph: Graph | None
+    ) -> ExplanationSubgraph | None:
+        """A row payload's explanation subgraph over the decoding side's graph."""
+        nodes = entry.get("nodes")
+        if nodes is None:
+            return None
+        return ExplanationSubgraph(
+            source_graph=graph,
+            nodes=set(nodes),
+            label=entry["label"],
+            explainability=float(entry.get("explainability") or 0.0),
+            consistent=entry.get("consistent"),
+            counterfactual=entry.get("counterfactual"),
+        )
+
     def row_payloads(self, label: int | None = None) -> list[dict[str, Any]]:
         """Per-row wire payloads in database order (the sharded-assembly feed).
 
@@ -964,21 +967,11 @@ class ViewMaintainer:
             # then re-streamed — rather than resurrected as a wrong view.
             if nodes is not None and not set(nodes) <= set(graph.nodes):
                 continue
-            subgraph = None
-            if nodes is not None:
-                subgraph = ExplanationSubgraph(
-                    source_graph=graph,
-                    nodes=set(nodes),
-                    label=entry["label"],
-                    explainability=float(entry.get("explainability") or 0.0),
-                    consistent=entry.get("consistent"),
-                    counterfactual=entry.get("counterfactual"),
-                )
             restored[graph.graph_id] = MaintainedExplanation(
                 graph_id=graph.graph_id,
                 label=entry.get("label"),
                 graph=graph,
-                subgraph=subgraph,
+                subgraph=cls._subgraph_from_payload(entry, graph),
                 patterns=[GraphPattern.from_dict(p) for p in entry.get("patterns", [])],
                 history=list(entry.get("history", [])),
                 stored_label=entry.get("stored_label"),
@@ -1040,60 +1033,28 @@ class ViewMaintainer:
 # ----------------------------------------------------------------------
 # cross-process view assembly (the sharded serving tier's identity lever)
 # ----------------------------------------------------------------------
-def assemble_view_from_rows(
-    rows: Sequence[dict[str, Any]],
+def _assemble_stream_view(
+    rows: Iterable[tuple[ExplanationSubgraph | None, Iterable[GraphPattern], float]],
     label: int,
-    graphs_by_id: dict[int | None, Graph],
-    *,
-    batch_size: int = DEFAULT_STREAM_BATCH_SIZE,
+    batch_size: int,
+    histories: list[list[dict]],
 ) -> ExplanationView:
-    """Assemble one label's two-tier view from maintainer row payloads.
+    """The stream assembly law, over one label's rows in database order.
 
-    The cross-process half of :meth:`ViewMaintainer.view_for`: a shard
-    router collects :meth:`ViewMaintainer.row_payloads` from per-shard
-    maintainers, orders them by its *global* database order, and this
-    function applies the exact assembly law of ``_build_view`` — subgraphs
-    in row order, patterns deduplicated by canonical key in first-seen
-    order with reassigned ids, explainability summed in row order.  Since
-    each row is computed independently of database iteration order (fresh
-    seeded node-stream shuffle per graph), the result is bit-identical to
-    a single maintainer (and hence a full ``StreamGVEX`` recompute) over
-    the unsharded database.
-
-    ``rows`` entries whose label differs are skipped, so callers may hand
-    over unfiltered row lists.  Raises when a row references a graph the
-    assembling database does not hold — shard routing and assembly must
-    agree on membership, silently dropping a witness would corrupt the
-    view.
+    Each row is ``(subgraph or None, patterns, runtime seconds)``.
+    Subgraphs in row order, patterns deduplicated by canonical key in
+    first-seen order with reassigned ids, explainability summed in row
+    order.  :meth:`ViewMaintainer.view_for` and
+    :func:`assemble_view_from_rows` both build their views here.
     """
     subgraphs: list[ExplanationSubgraph] = []
     patterns: dict[tuple, GraphPattern] = {}
     runtime = 0.0
-    for entry in rows:
-        if entry.get("label") != label:
-            continue
-        runtime += float(entry.get("runtime_seconds", 0.0))
-        nodes = entry.get("nodes")
-        if nodes is not None:
-            graph = graphs_by_id.get(entry.get("graph_id"))
-            if graph is None:
-                raise ExplanationError(
-                    f"cannot assemble the view for label {label}: row graph "
-                    f"{entry.get('graph_id')!r} is not in the assembling "
-                    "database"
-                )
-            subgraphs.append(
-                ExplanationSubgraph(
-                    source_graph=graph,
-                    nodes=set(nodes),
-                    label=entry["label"],
-                    explainability=float(entry.get("explainability") or 0.0),
-                    consistent=entry.get("consistent"),
-                    counterfactual=entry.get("counterfactual"),
-                )
-            )
-        for payload in entry.get("patterns", []):
-            pattern = GraphPattern.from_dict(payload)
+    for subgraph, row_patterns, seconds in rows:
+        runtime += seconds
+        if subgraph is not None:
+            subgraphs.append(subgraph)
+        for pattern in row_patterns:
             patterns.setdefault(pattern.canonical_key(), pattern)
     pattern_list = list(patterns.values())
     for index, pattern in enumerate(pattern_list):
@@ -1107,6 +1068,51 @@ def assemble_view_from_rows(
             "algorithm": "StreamGVEX",
             "batch_size": batch_size,
             "runtime_seconds": float(runtime),
-            "histories": [],
+            "histories": histories,
         },
     )
+
+
+def assemble_view_from_rows(
+    rows: Sequence[dict[str, Any]],
+    label: int,
+    graphs_by_id: dict[int | None, Graph],
+    *,
+    batch_size: int = DEFAULT_STREAM_BATCH_SIZE,
+) -> ExplanationView:
+    """Assemble one label's two-tier view from maintainer row payloads.
+
+    The cross-process half of :meth:`ViewMaintainer.view_for`: a shard
+    router collects :meth:`ViewMaintainer.row_payloads` from per-shard
+    maintainers, orders them by its *global* order, and this function
+    decodes them into the same assembly law.  Since each row is computed
+    independently of database iteration order (fresh seeded node-stream
+    shuffle per graph), the result is bit-identical to a single maintainer
+    (and hence a full ``StreamGVEX`` recompute) over the unsharded
+    database.
+
+    ``rows`` entries whose label differs are skipped, so callers may hand
+    over unfiltered row lists.  Raises when a row references a graph the
+    assembling database does not hold — shard routing and assembly must
+    agree on membership, silently dropping a witness would corrupt the
+    view.
+    """
+
+    def decoded():
+        for entry in rows:
+            if entry.get("label") != label:
+                continue
+            graph = graphs_by_id.get(entry.get("graph_id"))
+            if graph is None and entry.get("nodes") is not None:
+                raise ExplanationError(
+                    f"cannot assemble the view for label {label}: row graph "
+                    f"{entry.get('graph_id')!r} is not in the assembling "
+                    "database"
+                )
+            yield (
+                ViewMaintainer._subgraph_from_payload(entry, graph),
+                (GraphPattern.from_dict(payload) for payload in entry.get("patterns", [])),
+                float(entry.get("runtime_seconds", 0.0)),
+            )
+
+    return _assemble_stream_view(decoded(), label, batch_size, [])

@@ -57,14 +57,25 @@ class StreamGVEX(NodeStreamProcessor):
         one ingest per graph, then one view assembly.
         """
         start = time.perf_counter()
+        view = self.maintain(graphs, label, record_history).view_for(label)
+        view.metadata["runtime_seconds"] = time.perf_counter() - start
+        return view
+
+    def maintain(
+        self, graphs: Sequence[Graph], label: int, record_history: bool = False
+    ) -> ViewMaintainer:
+        """The label group's rows: one streamed row per graph, in input order.
+
+        A shard worker answers a routed stream request with these rows
+        (:meth:`ViewMaintainer.row_payloads`); the router assembles them once
+        in request order.
+        """
         maintainer = ViewMaintainer(
             processor=self, labels=(label,), record_history=record_history
         )
         for graph, predicted in zip(graphs, self._predicted_labels(graphs)):
             maintainer.ingest(graph, predicted=predicted)
-        view = maintainer.view_for(label)
-        view.metadata["runtime_seconds"] = time.perf_counter() - start
-        return view
+        return maintainer
 
     def explain(
         self,

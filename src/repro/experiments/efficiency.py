@@ -2,7 +2,7 @@
 
 * Fig. 9a/9b/9c — runtime of every explainer on MUT / ENZ / all datasets.
 * Fig. 9d — scalability of GVEX with the number of input graphs (PCQ).
-* Fig. 9e — parallel speed-up with multiple workers.
+* Fig. 9e — parallel speed-up with multiple shard workers.
 * Fig. 9f — StreamGVEX runtime as a function of the processed batch fraction
   (the anytime property).
 """
@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.api.sharding import ShardRouter
 from repro.core.approx import ApproxGVEX
 from repro.core.config import Configuration
-from repro.core.parallel import parallel_explain
 from repro.core.streaming import StreamGVEX
 from repro.experiments.setup import ExperimentContext, build_explainers, prepare_context
+from repro.graphs.database import GraphDatabase
 from repro.metrics.runtime import time_call
 
 __all__ = [
@@ -114,10 +115,15 @@ def run_parallel_speedup(
     context: ExperimentContext | None = None,
     worker_counts: list[int] | None = None,
     max_nodes: int = 6,
-    backend: str = "thread",
     graphs_limit: int = 8,
 ) -> list[ParallelRow]:
-    """Fig. 9e rows: runtime with 1, 2, 4 workers (speed-up relative to 1)."""
+    """Fig. 9e rows: runtime with 1, 2, 4 workers (speed-up relative to 1).
+
+    Each worker count serves the label group from a :class:`ShardRouter`
+    with that many worker processes, booted before the timed call: one
+    approx explain, its per-graph rows computed on the workers and
+    summarized once on the router.
+    """
     context = context or prepare_context("MUT")
     worker_counts = worker_counts or [1, 2, 4]
     config = Configuration().with_default_bound(0, max_nodes)
@@ -126,15 +132,13 @@ def run_parallel_speedup(
     rows = []
     baseline_seconds: float | None = None
     for workers in worker_counts:
-        _, seconds = time_call(
-            parallel_explain,
-            context.model,
-            graphs,
-            config=config,
-            labels=[label],
-            num_workers=workers,
-            backend="serial" if workers == 1 else backend,
-        )
+        database = GraphDatabase(context.dataset)
+        database.extend(graph.copy() for graph in graphs)
+        with ShardRouter(
+            context.dataset, database=database, model=context.model,
+            num_shards=workers, config=config, backend="process", supervise=False,
+        ) as router:
+            _, seconds = time_call(router.explain, algorithm="approx", label=label)
         if baseline_seconds is None:
             baseline_seconds = seconds
         rows.append(

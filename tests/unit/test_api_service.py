@@ -125,23 +125,6 @@ class TestExplainMany:
         again = service.explain_many(limit=2)
         assert all(result.provenance.cache_hit for result in again)
 
-    def test_parallel_fanout_matches_serial_node_sets(self, mut_database, trained_mut_model):
-        config = Configuration().with_default_bound(0, 4)
-        serial = ExplanationService(
-            "MUT", database=mut_database, model=trained_mut_model, config=config
-        )
-        parallel = ExplanationService(
-            "MUT", database=mut_database, model=trained_mut_model, config=config
-        )
-        serial_results = serial.explain_many(algorithm="approx")
-        parallel_results = parallel.explain_many(algorithm="approx", num_workers=2)
-        assert len(serial_results) == len(parallel_results)
-        for left, right in zip(serial_results, parallel_results):
-            assert left.provenance.label == right.provenance.label
-            assert sorted(sorted(s.nodes) for s in left.view.subgraphs) == sorted(
-                sorted(s.nodes) for s in right.view.subgraphs
-            )
-
 
 class TestStoreSpill:
     def test_evicted_entries_reload_from_disk(self, tmp_path, mut_database, trained_mut_model):

@@ -9,6 +9,10 @@ window has now closed and the shims are removed outright.  Access must fail
 argparse's usage error for the CLI), never a warning, never a shim — while
 the concrete modules and the registry/service surface keep working
 silently.
+
+The process-pool runner ``parallel_explain`` and its per-shard view union
+``merge_views`` are removed the same way: fanning explanations out is the
+shard router's job, and it assembles one view from per-graph rows.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ import repro
 import repro.baselines
 import repro.core
 
-REMOVED_TOP_LEVEL = ["ApproxGVEX", "StreamGVEX", "ViewQueryEngine"]
+REMOVED_TOP_LEVEL = [
+    "ApproxGVEX",
+    "StreamGVEX",
+    "ViewQueryEngine",
+    "parallel_explain",
+    "merge_views",
+]
 REMOVED_BASELINES = [
     "BaseExplainer",
     "GNNExplainerBaseline",

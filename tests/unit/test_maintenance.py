@@ -286,6 +286,27 @@ class TestSnapshot:
         assert len(payload["rows"]) == maintainer.stats()["rows"]
 
 
+    def test_shard_row_payloads_assemble_to_view_for(
+        self, maintainer, live_database, trained_mut_model, stream_config
+    ):
+        """Rows of per-shard maintainers, put back in database order and
+        assembled once, reproduce the single maintainer's view."""
+        graphs = live_database.graphs
+        graphs_by_id = {graph.graph_id: graph for graph in graphs}
+        for label in maintainer.maintained_labels():
+            rows = []
+            for shard in (graphs[1::2], graphs[0::2]):
+                explainer = StreamGVEX(trained_mut_model, stream_config, batch_size=5)
+                rows += explainer.maintain(shard, label).row_payloads(label)
+            rows.sort(key=lambda row: live_database.index_of(row["graph_id"]))
+            assembled = maintenance.assemble_view_from_rows(
+                rows, label, graphs_by_id, batch_size=5
+            )
+            assert semantic_signature(assembled) == semantic_signature(
+                maintainer.view_for(label)
+            )
+
+
 class TestEquivalenceOnSecondDataset:
     def test_red_database_equivalence(self, red_database):
         """Tier-1 RED dataset: maintained views == recompute (an untrained

@@ -1,13 +1,8 @@
-"""Unit tests for the parallel driver and the view query engine."""
+"""Unit tests for the view query engine."""
 
 import pytest
 
-from repro.core import (
-    Configuration,
-    ExplanationView,
-    merge_views,
-    parallel_explain,
-)
+from repro.core import Configuration
 from repro.core.approx import ApproxGVEX
 from repro.core.views import ViewQueryEngine
 from repro.exceptions import ExplanationError
@@ -19,138 +14,6 @@ def small_views(trained_mut_model, mut_database):
     config = Configuration(theta=0.08).with_default_bound(0, 8)
     explainer = ApproxGVEX(trained_mut_model, config)
     return explainer.explain(mut_database)
-
-
-class TestMergeViews:
-    def test_merges_subgraphs_and_dedupes_patterns(self, small_views):
-        view = small_views.view_for(small_views.labels()[0])
-        merged = merge_views([view, view], view.label)
-        assert len(merged.subgraphs) == 2 * len(view.subgraphs)
-        assert len(merged.patterns) == len(view.patterns)
-        assert merged.explainability == pytest.approx(2 * view.explainability)
-
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(ExplanationError):
-            merge_views([ExplanationView(label=0), ExplanationView(label=1)], 0)
-
-    def test_dedupes_isomorphic_patterns_across_shards(self):
-        """Patterns that match up to isomorphism must merge to one entry."""
-
-        def edge_pattern(node_ids):
-            pattern = GraphPattern()
-            pattern.add_node(node_ids[0], "C")
-            pattern.add_node(node_ids[1], "N")
-            pattern.add_edge(node_ids[0], node_ids[1], "single")
-            return pattern
-
-        def singleton(node_type):
-            pattern = GraphPattern()
-            pattern.add_node(0, node_type)
-            return pattern
-
-        # Shard views carry differently-labelled but isomorphic CN patterns,
-        # plus one pattern unique to each shard.
-        shard_a = ExplanationView(label=3, patterns=[edge_pattern((0, 1)), singleton("O")])
-        shard_b = ExplanationView(label=3, patterns=[edge_pattern((7, 4)), singleton("S")])
-        merged = merge_views([shard_a, shard_b], 3)
-        keys = {pattern.canonical_key() for pattern in merged.patterns}
-        assert len(merged.patterns) == 3
-        assert len(keys) == 3
-        assert [pattern.pattern_id for pattern in merged.patterns] == [0, 1, 2]
-
-
-class TestParallelExplain:
-    def test_serial_backend_matches_label_set(self, trained_mut_model, mut_database):
-        config = Configuration().with_default_bound(0, 6)
-        views = parallel_explain(
-            trained_mut_model,
-            mut_database,
-            config=config,
-            num_workers=1,
-            backend="serial",
-        )
-        assert len(views) >= 1
-        for view in views:
-            for subgraph in view.subgraphs:
-                assert trained_mut_model.predict(subgraph.source_graph) == view.label
-
-    def test_thread_backend_two_workers(self, trained_mut_model, mut_database):
-        config = Configuration().with_default_bound(0, 6)
-        views = parallel_explain(
-            trained_mut_model,
-            mut_database,
-            config=config,
-            num_workers=2,
-            backend="thread",
-        )
-        serial = parallel_explain(
-            trained_mut_model,
-            mut_database,
-            config=config,
-            num_workers=1,
-            backend="serial",
-        )
-        # Sharding changes per-shard pattern mining but not which graphs are
-        # explained for each label.
-        for label in serial.labels():
-            assert {s.source_graph.graph_id for s in views.view_for(label).subgraphs} == {
-                s.source_graph.graph_id for s in serial.view_for(label).subgraphs
-            }
-
-    def test_process_backend_two_workers(self, trained_mut_model, mut_database):
-        """The ProcessPoolExecutor path: workers get pickled models/graphs and
-        the merged result matches the serial reference per label."""
-        config = Configuration().with_default_bound(0, 6)
-        views = parallel_explain(
-            trained_mut_model,
-            mut_database,
-            config=config,
-            num_workers=2,
-            backend="process",
-        )
-        serial = parallel_explain(
-            trained_mut_model,
-            mut_database,
-            config=config,
-            num_workers=1,
-            backend="serial",
-        )
-        assert set(views.labels()) == set(serial.labels())
-        for label in serial.labels():
-            merged = views.view_for(label)
-            assert {s.source_graph.graph_id for s in merged.subgraphs} == {
-                s.source_graph.graph_id for s in serial.view_for(label).subgraphs
-            }
-            # Merged patterns are deduplicated across the two shards.
-            keys = [pattern.canonical_key() for pattern in merged.patterns]
-            assert len(keys) == len(set(keys))
-            # Chunked sharding hands each worker several smaller shards (load
-            # balancing), so the merge sees at least one shard per worker.
-            assert merged.metadata["merged_from"] >= 2
-            # Rebuilt subgraphs reference the caller's graph objects, not
-            # worker-side copies.
-            for subgraph in merged.subgraphs:
-                assert any(subgraph.source_graph is graph for graph in mut_database.graphs)
-
-    def test_stream_algorithm_option(self, trained_mut_model, mut_database):
-        config = Configuration().with_default_bound(0, 6)
-        views = parallel_explain(
-            trained_mut_model,
-            mut_database,
-            config=config,
-            num_workers=2,
-            backend="serial",
-            algorithm="stream",
-        )
-        assert len(views) >= 1
-
-    def test_invalid_arguments(self, trained_mut_model, mut_database):
-        with pytest.raises(ExplanationError):
-            parallel_explain(trained_mut_model, [], num_workers=1)
-        with pytest.raises(ExplanationError):
-            parallel_explain(trained_mut_model, mut_database, num_workers=0)
-        with pytest.raises(ExplanationError):
-            parallel_explain(trained_mut_model, mut_database, backend="gpu", num_workers=2)
 
 
 class TestViewQueryEngine:

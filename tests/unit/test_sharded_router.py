@@ -9,10 +9,10 @@ Contracts pinned here:
 
 * a 1-shard tier is **identical** to the single-process service for every
   request type (stream, approx, limit selections);
-* whole-database stream requests stay identical at *any* shard count (the
-  router reassembles deterministic per-graph rows in global order);
-* approx requests keep every graph's explanation node set at any shard
-  count; only the merged pattern set may differ from the single process;
+* stream and approx requests stay identical at *any* shard count, for the
+  whole database, ``limit`` and ``graph_ids`` selections (shards return
+  per-graph rows; the router puts them in request order and assembles
+  once);
 * mutations route to the owning shard, keep global/stored state agreeing,
   and are idempotent under retry;
 * a killed worker is respawned from its bootstrap and the tier keeps
@@ -28,6 +28,7 @@ import pytest
 from repro.api import ExplanationService
 from repro.api.replication import view_signature
 from repro.api.sharding import ShardRouter
+from repro.api.sharding.worker import ShardHost
 from repro.core import Configuration
 from repro.exceptions import ExplanationError
 from repro.graphs import Graph, GraphDatabase
@@ -111,42 +112,58 @@ class TestShardedIdentity:
                 oracle = reference.explain(**request)
                 assert view_signature(ours.view) == view_signature(oracle.view)
 
-    def test_multi_shard_approx_merges_per_shard_views(
-        self, seed_payload, trained_mut_model, shard_config
-    ):
-        with make_router(seed_payload, trained_mut_model, shard_config, 2) as router:
-            result = router.explain(algorithm="approx", label=1, max_nodes=6)
-            sizes = router.plan.shard_sizes(router.database)
-            assert result.view.metadata.get("merged_from") == sum(
-                1 for size in sizes if size > 0
-            )
-            # Merged pattern ids are reassigned densely, like parallel_explain.
-            assert [p.pattern_id for p in result.view.patterns] == list(
-                range(len(result.view.patterns))
-            )
-
     @pytest.mark.parametrize("num_shards", [1, 2, 4])
     def test_multi_shard_approx_keeps_every_graphs_explanation(
         self, seed_payload, trained_mut_model, shard_config, reference, num_shards
     ):
-        """The approx contract: per-graph node sets match the single process;
-        only the merged pattern set may differ."""
-
-        def node_sets(view):
-            return {
-                subgraph.source_graph.graph_id: sorted(subgraph.nodes)
-                for subgraph in view.subgraphs
-            }
-
+        """The approx contract: the whole view, patterns included, is the
+        single-process view — one summarize pass over every shard's rows."""
         with make_router(
             seed_payload, trained_mut_model, shard_config, num_shards
         ) as router:
             for label in (0, 1):
-                request = {"algorithm": "approx", "label": label, "max_nodes": 6}
+                for selection in ({}, {"limit": 3}, {"graph_ids": [9, 2, 5, 0, 7]}):
+                    request = {"algorithm": "approx", "label": label, "max_nodes": 6}
+                    request |= selection
+                    ours = router.explain(**request).view
+                    oracle = reference.explain(**request).view
+                    assert view_signature(ours) == view_signature(oracle), request
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_selected_stream_requests_identical_at_any_shard_count(
+        self, seed_payload, trained_mut_model, shard_config, reference, num_shards
+    ):
+        """Stream requests with ``graph_ids`` or ``limit`` come back in
+        request order, not shard-major order."""
+        requests = [
+            {"algorithm": "stream", "label": 1, "graph_ids": [9, 8, 6, 4, 2, 1, 0]},
+            {"algorithm": "stream", "label": 0, "graph_ids": [7, 5, 3, 2, 0]},
+            {"algorithm": "stream", "label": 1, "limit": 4},
+            {"algorithm": "stream", "label": 0, "limit": 3},
+        ]
+        with make_router(
+            seed_payload, trained_mut_model, shard_config, num_shards
+        ) as router:
+            for request in requests:
                 ours = router.explain(**request).view
                 oracle = reference.explain(**request).view
-                assert node_sets(ours) == node_sets(oracle)
-                assert len(node_sets(ours)) == len(ours.subgraphs)
+                assert view_signature(ours) == view_signature(oracle), request
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_baseline_views_identical_at_any_shard_count(
+        self, seed_payload, trained_mut_model, shard_config, reference, num_shards
+    ):
+        """Instance baselines take the same rows-then-assemble path: shards
+        explain their graphs, the router summarizes once."""
+        with make_router(
+            seed_payload, trained_mut_model, shard_config, num_shards
+        ) as router:
+            for selection in ({}, {"limit": 3}, {"graph_ids": [8, 6, 3, 1]}):
+                request = {"algorithm": "random", "label": 1, "max_nodes": 4}
+                request |= selection
+                ours = router.explain(**request).view
+                oracle = reference.explain(**request).view
+                assert view_signature(ours) == view_signature(oracle), request
 
     def test_uneven_shard_counts_still_assemble(self, seed_payload, trained_mut_model, shard_config, reference):
         # 5 shards over 10 graphs: CRC placement leaves shards with very
@@ -166,6 +183,49 @@ class TestShardedIdentity:
             assert not first.provenance.cache_hit
             assert second.provenance.cache_hit
             assert view_signature(first.view) == view_signature(second.view)
+
+
+class TestShardHostRows:
+    """The worker's single row op, driven on a host without a router."""
+
+    @pytest.fixture
+    def host(self, seed_payload, trained_mut_model, shard_config):
+        service = ExplanationService(
+            "MUT",
+            database=GraphDatabase.from_dict(seed_payload),
+            model=trained_mut_model,
+            config=shard_config,
+        )
+        host = ShardHost(service, shard_index=0)
+        yield host
+        host.close()
+
+    @staticmethod
+    def rows_payload(shard_config, graph_ids, algorithm="approx"):
+        return {
+            "algorithm": algorithm,
+            "label": 1,
+            "max_nodes": 6,
+            "config": shard_config.canonical_dict(),
+            "graph_ids": graph_ids,
+        }
+
+    def test_rows_come_back_in_request_order(self, host, shard_config):
+        order = [9, 5, 2, 7, 0]
+        approx = host.handle("explain_rows", self.rows_payload(shard_config, order))
+        assert approx["view"]["patterns"] == []
+        approx_ids = [row["source_graph_id"] for row in approx["view"]["subgraphs"]]
+        stream = host.handle(
+            "explain_rows", self.rows_payload(shard_config, order, "stream")
+        )
+        stream_ids = [row["graph_id"] for row in stream["rows"]]
+        for ids in (approx_ids, stream_ids):
+            assert ids
+            assert ids == sorted(ids, key=order.index)
+
+    def test_row_op_rejects_a_graph_the_shard_does_not_hold(self, host, shard_config):
+        with pytest.raises(ExplanationError, match="disagree"):
+            host.handle("explain_rows", self.rows_payload(shard_config, [0, 404]))
 
 
 class TestShardedMutations:
