@@ -1,4 +1,10 @@
-"""ApproxGVEX: the 1/2-approximate explain-and-summarize algorithm (section 4).
+"""ApproxGVEX: the explain-and-summarize algorithm of section 4.
+
+The paper's 1/2 approximation ratio bounds the greedy phase (steps 2-3
+below).  Under verification, :meth:`ApproxGVEX._complete_counterfactual`
+then swaps nodes to make the explanation counterfactual, and that pass has
+no floor: on 12 of 45 small audit graphs (<= 16 nodes) it ended below half
+of the brute-force Eq.-2 optimum.
 
 For a single source graph the algorithm
 
@@ -35,9 +41,9 @@ from repro.core.config import Configuration, CoverageBound
 from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
 from repro.core.quality import GraphAnalysis
 from repro.core.sampling import build_analysis
-from repro.core.selection import lazy_greedy_select
+from repro.core.selection import lazy_greedy_select, top_up_select
 from repro.core.summarize import summarize_subgraphs
-from repro.core.verification import EVerify, prime_vp_extend_probes
+from repro.core.verification import EVerify
 from repro.exceptions import ExplanationError
 from repro.gnn.models import GNNClassifier
 from repro.graphs.database import GraphDatabase
@@ -84,52 +90,6 @@ class ApproxGVEX:
     def _build_analysis(self, graph: Graph) -> GraphAnalysis:
         """Influence/diversity structures of one graph (Algorithm 1 line 2)."""
         return build_analysis(self.model, graph, self.config)
-
-    # ------------------------------------------------------------------
-    # VpExtend (Procedure 2)
-    # ------------------------------------------------------------------
-    def _vp_extend(
-        self,
-        candidate: int,
-        selected: set[int],
-        graph: Graph,
-        label: int,
-    ) -> bool:
-        """Can ``candidate`` extend the current explanation node set?"""
-        bound = self.config.bound_for(label)
-        extended = selected | {candidate}
-        if len(extended) > bound.upper:
-            return False
-        if self.config.verification_mode == "none":
-            return True
-        if len(extended) < self.config.min_check_size:
-            # Too small for the GNN consistency check to be meaningful.
-            return True
-        if not self.everify.is_consistent(graph, extended, label):
-            return False
-        if self.config.verification_mode == "strict":
-            if not self.everify.is_counterfactual(graph, extended, label):
-                return False
-        return True
-
-    def _vp_extend_many(
-        self,
-        nodes: Sequence[int],
-        selected: set[int],
-        graph: Graph,
-        label: int,
-    ) -> list[bool]:
-        """Batched ``VpExtend``: same per-node answers, amortised inference.
-
-        The model probes behind the per-node checks are primed through
-        ``EVerify.prime`` — one block-diagonal inference pass for the whole
-        frontier — before the (now cache-hitting) per-node logic runs.
-        """
-        prime_vp_extend_probes(
-            self.everify, graph, nodes, selected, label, self.config,
-            upper=self.config.bound_for(label).upper,
-        )
-        return [self._vp_extend(node, selected, graph, label) for node in nodes]
 
     # ------------------------------------------------------------------
     # explanation phase for a single graph (Algorithm 1 lines 1-17)
@@ -200,7 +160,8 @@ class ApproxGVEX:
             graph.nodes,
             set(),
             bound.upper,
-            lambda nodes, current: self._vp_extend_many(nodes, current, graph, label),
+            # The budget keeps every extension within ``bound.upper``.
+            lambda nodes, current: self.everify.vp_extend(graph, nodes, current, label, self.config),
             choose_tied,
             gain_key=lambda gain: round(float(gain), 9),
             backup=backup if bound.lower > 0 else None,
@@ -216,13 +177,8 @@ class ApproxGVEX:
         lower: int,
     ) -> set[int]:
         """Grow ``selected`` from the backup set until the lower bound is met."""
-        return lazy_greedy_select(
-            analysis,
-            sorted(backup - selected),
-            selected,
-            lower,
-            lambda nodes, current: self._vp_extend_many(nodes, current, graph, label),
-            lambda tied, current: min(tied),
+        return top_up_select(
+            self.everify, self.config, graph, label, analysis, selected, backup, lower
         )
 
     def _label_probabilities(

@@ -6,7 +6,9 @@ batched views — so memory stays flat however many keys a workload touches;
 :func:`with_hit_rate` formats any cache's counters for the health endpoints.
 The explainers' subset probes keep no memo: the greedy tie-breakers and the
 counterfactual swap loop send each step's probes as one
-:class:`~repro.graphs.sparse.SubsetFamily` and score it in one batched pass.
+:class:`~repro.graphs.sparse.SubsetFamily` and score it in one batched pass,
+and ``VpExtend`` (:meth:`~repro.core.verification.EVerify.vp_extend`) sends
+each frontier's extensions as one batched probe.
 """
 
 from __future__ import annotations

@@ -54,8 +54,10 @@ from repro.core.config import Configuration
 from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
 from repro.core.quality import GraphAnalysis
 from repro.core.sampling import build_analysis
-from repro.core.selection import lazy_greedy_select
-from repro.core.verification import EVerify, prime_vp_extend_probes
+# perfbench/tracing.py wraps the selection engine by this module's name.
+from repro.core.selection import lazy_greedy_select  # noqa: F401
+from repro.core.selection import top_up_select
+from repro.core.verification import EVerify
 from repro.exceptions import ExplanationError
 from repro.gnn.models import GNNClassifier
 from repro.graphs.database import DatabaseDelta, GraphDatabase
@@ -138,36 +140,6 @@ class NodeStreamProcessor:
     def _build_analysis(self, graph: Graph) -> GraphAnalysis:
         """Influence/diversity structures of one (partially seen) graph."""
         return build_analysis(self.model, graph, self.config)
-
-    # ------------------------------------------------------------------
-    # VpExtend (same contract as in ApproxGVEX)
-    # ------------------------------------------------------------------
-    def _vp_extend(self, candidate: int, selected: set[int], graph: Graph, label: int) -> bool:
-        # Deliberately no upper-bound rejection here: a full node cache is
-        # handled by the IncUpdateVS swapping rule, not by VpExtend.
-        extended = selected | {candidate}
-        if self.config.verification_mode == "none":
-            return True
-        if len(extended) < self.config.min_check_size:
-            return True
-        if not self.everify.is_consistent(graph, extended, label):
-            return False
-        if self.config.verification_mode == "strict":
-            if not self.everify.is_counterfactual(graph, extended, label):
-                return False
-        return True
-
-    def _vp_extend_many(
-        self,
-        nodes: Sequence[int],
-        selected: set[int],
-        graph: Graph,
-        label: int,
-    ) -> list[bool]:
-        """Batched ``VpExtend`` (no upper-bound filter: a full node cache is
-        handled by the swapping rule, not by rejection)."""
-        prime_vp_extend_probes(self.everify, graph, nodes, selected, label, self.config)
-        return [self._vp_extend(node, selected, graph, label) for node in nodes]
 
     # ------------------------------------------------------------------
     # IncUpdateVS (Procedure 4)
@@ -274,7 +246,7 @@ class NodeStreamProcessor:
     ) -> tuple[set[int], list[GraphPattern]]:
         """Batched per-arrival work: one block of the node stream.
 
-        ``VpExtend`` verdicts for the whole block are primed with one batched
+        ``VpExtend`` verdicts for the whole block come from one batched
         model probe against the current node cache; the swap rule then runs
         per node against the packed coverage kernels.  The node cache changes
         rarely (a swap needs gain >= 2x loss), so whenever it *does* change
@@ -284,7 +256,9 @@ class NodeStreamProcessor:
         """
         pending = list(batch)
         while pending:
-            verdicts = self._vp_extend_many(pending, selected, seen_graph, label)
+            # No upper bound: a full node cache is handled by the swapping
+            # rule, not by rejection.
+            verdicts = self.everify.vp_extend(seen_graph, pending, selected, label, self.config)
             restart_at: int | None = None
             for index, node in enumerate(pending):
                 backup.add(node)
@@ -397,13 +371,8 @@ class NodeStreamProcessor:
         lower: int,
     ) -> set[int]:
         """Grow ``selected`` from the backup set until the lower bound is met."""
-        return lazy_greedy_select(
-            analysis,
-            sorted(backup - selected),
-            selected,
-            lower,
-            lambda nodes, current: self._vp_extend_many(nodes, current, graph, label),
-            lambda tied, current: min(tied),
+        return top_up_select(
+            self.everify, self.config, graph, label, analysis, selected, backup, lower
         )
 
     # ------------------------------------------------------------------
@@ -483,8 +452,8 @@ class ViewMaintainer:
         ``processor`` is given).
     processor:
         An existing processor to stream through — e.g. a
-        :class:`~repro.core.streaming.StreamGVEX` instance, so its warm
-        ``EVerify`` memo and any subclass policy overrides are reused.
+        :class:`~repro.core.streaming.StreamGVEX` instance, so its
+        ``EVerify`` and any subclass policy overrides are reused.
     labels:
         Restrict maintenance to these group labels (``None`` = maintain a
         view for every label that occurs).

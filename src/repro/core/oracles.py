@@ -31,7 +31,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.approx import ApproxGVEX
-from repro.core.config import CoverageBound
+from repro.core.config import Configuration, CoverageBound
 from repro.core.maintenance import NodeStreamProcessor
 from repro.core.quality import CoverageState, GraphAnalysis
 from repro.core.streaming import StreamGVEX
@@ -239,13 +239,34 @@ def reference_covered_edges(
 # EVerify and the quality measures
 # ----------------------------------------------------------------------
 class ReferenceEVerify(EVerify):
-    """EVerify that builds ``G[nodes]`` for every probe and never batches."""
+    """EVerify that builds ``G[nodes]`` for every probe and never batches:
+    ``VpExtend`` checks the frontier node by node."""
 
-    def _classify(self, graph: Graph, nodes: frozenset[int]) -> int:
+    def _classify(self, graph: Graph, nodes: Iterable[int]) -> int:
         return self.model.predict(reference_induced_subgraph(graph, nodes))
 
-    def prime(self, graph: Graph, node_sets: Sequence[frozenset[int]]) -> int:
-        return 0
+    def vp_extend(
+        self,
+        graph: Graph,
+        nodes: Sequence[int],
+        selected: set[int],
+        label: int,
+        config: Configuration,
+    ) -> list[bool]:
+        verdicts = []
+        for node in nodes:
+            extended = selected | {node}
+            if config.verification_mode == "none" or len(extended) < config.min_check_size:
+                verdicts.append(True)
+            else:
+                verdicts.append(
+                    self.is_consistent(graph, extended, label)
+                    and (
+                        config.verification_mode != "strict"
+                        or self.is_counterfactual(graph, extended, label)
+                    )
+                )
+        return verdicts
 
 
 class ReferenceCoverageState(CoverageState):
@@ -353,10 +374,9 @@ class _ReferenceStack:
     ) -> set[int]:
         selected = set(selected)
         while len(selected) < lower and backup - selected:
-            usable = [
-                node for node in backup - selected
-                if self._vp_extend(node, selected, graph, label)
-            ]
+            pool = list(backup - selected)
+            verdicts = self.everify.vp_extend(graph, pool, selected, label, self.config)
+            usable = [node for node, ok in zip(pool, verdicts) if ok]
             if not usable:
                 break
             gains = analysis.marginal_gains(selected, usable)
@@ -409,10 +429,9 @@ class ReferenceApproxGVEX(_ReferenceStack, ApproxGVEX):
         all_nodes = frozenset(graph.nodes)
         selected: set[int] = set()
         while len(selected) < bound.upper and all_nodes - selected:
-            candidates = [
-                node for node in all_nodes - selected
-                if self._vp_extend(node, selected, graph, label)
-            ]
+            pool = list(all_nodes - selected)
+            verdicts = self.everify.vp_extend(graph, pool, selected, label, self.config)
+            candidates = [node for node, ok in zip(pool, verdicts) if ok]
             backup |= set(candidates)
             if not candidates:
                 break
@@ -472,7 +491,7 @@ class ReferenceStreamProcessor(_ReferenceStack, NodeStreamProcessor):
     ) -> tuple[set[int], list[GraphPattern]]:
         for node in batch:
             backup.add(node)
-            if not self._vp_extend(node, selected, seen_graph, label):
+            if not self.everify.vp_extend(seen_graph, [node], selected, label, self.config)[0]:
                 continue
             updated = self._inc_update_vs(
                 node, selected, analysis, patterns, matcher, seen_graph, upper_bound

@@ -46,10 +46,16 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.quality import GraphAnalysis
 
-__all__ = ["lazy_greedy_select"]
+if TYPE_CHECKING:
+    from repro.core.config import Configuration
+    from repro.core.verification import EVerify
+    from repro.graphs.graph import Graph
+
+__all__ = ["lazy_greedy_select", "top_up_select"]
 
 # Verification results are cheap to batch but the first pop of a round has no
 # exact-gain threshold yet; seed it one candidate at a time so laziness is
@@ -189,3 +195,28 @@ def lazy_greedy_select(
             heapq.heappush(heap, (-stale, node))
 
     return selected
+
+
+def top_up_select(
+    everify: EVerify,
+    config: Configuration,
+    graph: Graph,
+    label: int,
+    analysis: GraphAnalysis,
+    selected: set[int],
+    backup: set[int],
+    lower: int,
+) -> set[int]:
+    """Grow ``selected`` from the backup set until the lower bound is met.
+
+    The pool is the unselected backup nodes in node order, every extension
+    passes ``VpExtend`` first, and exact-gain ties go to the smallest node.
+    """
+    return lazy_greedy_select(
+        analysis,
+        sorted(backup - selected),
+        selected,
+        lower,
+        lambda nodes, current: everify.vp_extend(graph, nodes, current, label, config),
+        lambda tied, current: min(tied),
+    )

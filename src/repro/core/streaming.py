@@ -52,8 +52,8 @@ class StreamGVEX(NodeStreamProcessor):
         """Streamed explanation view for one label group.
 
         Implemented as a replay of add-deltas through a transient
-        :class:`ViewMaintainer` bound to this explainer (so a warm
-        ``EVerify`` memo and any subclass policy overrides carry through):
+        :class:`ViewMaintainer` bound to this explainer (so its ``EVerify``
+        and any subclass policy overrides carry through):
         one ingest per graph, then one view assembly.
         """
         start = time.perf_counter()

@@ -17,138 +17,106 @@ isomorphism search for C1/C3).
 
 from __future__ import annotations
 
-import weakref
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.core.config import Configuration
 from repro.core.explanation import ExplanationSubgraph, ExplanationView
 from repro.gnn.models import GNNClassifier
 from repro.graphs.graph import Graph
-from repro.graphs.subgraph import remove_subgraph
 from repro.matching.coverage import pattern_set_covered_nodes
 
-__all__ = ["EVerify", "VerificationReport", "prime_vp_extend_probes", "verify_view"]
-
-
-def prime_vp_extend_probes(
-    everify: "EVerify",
-    graph: Graph,
-    nodes: Sequence[int],
-    selected: set[int],
-    label: int,
-    config: Configuration,
-    upper: int | None = None,
-) -> None:
-    """Warm ``EVerify``'s memo for a whole ``VpExtend`` frontier at once.
-
-    Primes the consistency probes of ``selected | {node}`` for every
-    candidate (restricted to candidates within the ``upper`` size bound when
-    given — the ApproxGVEX contract; StreamGVEX passes ``None`` because its
-    full cache is handled by the swapping rule), and, under strict
-    verification, the residual probes of the consistent candidates.  The
-    subsequent per-node ``VpExtend`` calls then hit the cache instead of
-    running one inference each.
-    """
-    if config.verification_mode == "none":
-        return
-    probes = []
-    for node in nodes:
-        extended = frozenset(selected | {node})
-        if (upper is None or len(extended) <= upper) and len(extended) >= config.min_check_size:
-            probes.append(extended)
-    everify.prime(graph, probes)
-    if config.verification_mode == "strict" and probes:
-        all_nodes = set(graph.nodes)
-        residuals = [
-            frozenset(all_nodes - extended)
-            for extended in probes
-            if everify.is_consistent(graph, extended, label)
-        ]
-        everify.prime(graph, residuals)
+__all__ = ["EVerify", "VerificationReport", "verify_view"]
 
 
 class EVerify:
-    """GNN inference operator with memoisation (constraint C2).
+    """GNN inference operator (constraint C2).
 
     ``EVerify`` answers the two model queries GVEX needs — "is this candidate
     subgraph still assigned the source label?" and "does removing it flip the
-    label?" — caching predictions by (graph id, node set) so repeated greedy
-    probes of the same candidate are free.
+    label?" — one probe per question, sliced from the graph's CSR cache, and
+    the ``VpExtend`` verdicts of a whole greedy frontier in one batched pass
+    (:meth:`vp_extend`).  It keeps no memo: every answer is computed on the
+    graph's current version.
     """
 
     def __init__(self, model: GNNClassifier) -> None:
         self.model = model
-        # Per graph object: (graph version when cached, {node set: label}).
-        # A version bump drops that graph's entries wholesale, so probes on
-        # mutating graphs neither read stale labels nor accumulate dead
-        # entries from superseded versions.  Keyed by weak reference — not
-        # ``id()`` — so a long-lived EVerify (worker pools reuse one
-        # explainer across shards) can never serve another graph's labels
-        # after CPython recycles a freed graph's address, and entries die
-        # with their graphs instead of accumulating.
-        self._cache: weakref.WeakKeyDictionary[Graph, tuple[int, dict[frozenset[int], int]]] = (
-            weakref.WeakKeyDictionary()
-        )
-        self.inference_calls = 0
 
-    def _labels(self, graph: Graph) -> dict[frozenset[int], int]:
-        """The memo of ``graph``'s current version (older versions dropped)."""
-        entry = self._cache.get(graph)
-        if entry is None or entry[0] != graph.version:
-            entry = (graph.version, {})
-            self._cache[graph] = entry
-        return entry[1]
-
-    def _classify(self, graph: Graph, nodes: frozenset[int]) -> int:
+    def _classify(self, graph: Graph, nodes: Iterable[int]) -> int:
         """``M(G[nodes])``, sliced straight out of the graph's CSR cache."""
         return self.model.predict_node_subset(graph, nodes)
 
-    def _predict_nodes(self, graph: Graph, nodes: frozenset[int]) -> int:
-        labels = self._labels(graph)
-        label = labels.get(nodes)
-        if label is None:
-            label = labels[nodes] = self._classify(graph, nodes)
-            self.inference_calls += 1
-        return label
+    def _classify_sets(
+        self, graph: Graph, node_sets: Iterable[frozenset[int]]
+    ) -> dict[frozenset[int], int]:
+        """``M(G[nodes])`` of each distinct set, in one ``predict_subsets`` call."""
+        distinct = list(dict.fromkeys(node_sets))
+        if not distinct:
+            return {}
+        return dict(zip(distinct, self.model.predict_subsets(graph, distinct)))
 
     def predict(self, graph: Graph) -> int:
-        """Label of a full graph (cached)."""
-        return self._predict_nodes(graph, frozenset(graph.nodes))
-
-    def prime(self, graph: Graph, node_sets: Sequence[frozenset[int]]) -> int:
-        """Batch-compute and cache the labels of many candidate node sets.
-
-        All uncached sets are classified in a single block-diagonal
-        message-passing pass (``GNNClassifier.predict_subsets``), so a
-        greedy round that is about to probe a whole frontier pays one
-        inference instead of one per candidate.  Subsequent
-        :meth:`is_consistent` / :meth:`is_counterfactual` calls hit the
-        cache.  Returns the number of sets actually classified; a no-op
-        when fewer than two sets are missing.
-        """
-        labels = self._labels(graph)
-        missing = [nodes for nodes in dict.fromkeys(node_sets) if nodes and nodes not in labels]
-        if len(missing) < 2:
-            return 0
-        for nodes, label in zip(missing, self.model.predict_subsets(graph, missing)):
-            labels[nodes] = label
-        self.inference_calls += len(missing)
-        return len(missing)
+        """Label of a full graph."""
+        return self._classify(graph, graph.nodes)
 
     def is_consistent(self, graph: Graph, nodes: set[int], label: int) -> bool:
         """C2 first half: ``M(G[nodes]) == label``."""
         if not nodes:
             return False
-        return self._predict_nodes(graph, frozenset(nodes)) == label
+        return self._classify(graph, nodes) == label
 
     def is_counterfactual(self, graph: Graph, nodes: set[int], label: int) -> bool:
         """C2 second half: ``M(G \\ G[nodes]) != label``."""
-        remaining = frozenset(set(graph.nodes) - set(nodes))
+        remaining = set(graph.nodes) - set(nodes)
         if not remaining:
             # Removing everything certainly removes the evidence for the label.
             return True
-        return self._predict_nodes(graph, remaining) != label
+        return self._classify(graph, remaining) != label
+
+    def vp_extend(
+        self,
+        graph: Graph,
+        nodes: Sequence[int],
+        selected: set[int],
+        label: int,
+        config: Configuration,
+    ) -> list[bool]:
+        """``VpExtend`` (Procedure 2) per frontier node: can it extend ``selected``?
+
+        A node passes under ``verification_mode="none"`` or when
+        ``selected | {node}`` is below ``min_check_size`` (too small for the
+        GNN check to mean anything); else the extension must be consistent,
+        and under ``"strict"`` also counterfactual.  The size bound is the
+        caller's: the greedy loops stop before an extension could exceed it.
+        The consistency probes of the whole frontier run in one
+        ``predict_subsets`` call, and the strict residual probes in one more.
+        """
+        extensions = [frozenset(selected | {node}) for node in nodes]
+        verdicts = [True] * len(extensions)
+        if config.verification_mode == "none":
+            return verdicts
+        checked = [
+            index for index, extended in enumerate(extensions)
+            if len(extended) >= config.min_check_size
+        ]
+        labels = self._classify_sets(graph, (extensions[index] for index in checked))
+        for index in checked:
+            verdicts[index] = labels[extensions[index]] == label
+        if config.verification_mode == "strict":
+            all_nodes = frozenset(graph.nodes)
+            residuals = {
+                index: all_nodes - extensions[index] for index in checked if verdicts[index]
+            }
+            labels.update(
+                self._classify_sets(
+                    graph, (rest for rest in residuals.values() if rest and rest not in labels)
+                )
+            )
+            for index, rest in residuals.items():
+                # An empty residual certainly lacks the evidence for the label.
+                verdicts[index] = not rest or labels[rest] != label
+        return verdicts
 
     def annotate(self, subgraph: ExplanationSubgraph) -> ExplanationSubgraph:
         """Fill in the consistent/counterfactual flags of a subgraph."""
@@ -159,10 +127,6 @@ class EVerify:
             subgraph.source_graph, subgraph.nodes, subgraph.label
         )
         return subgraph
-
-    def stats(self) -> dict[str, int]:
-        entries = sum(len(labels) for _, labels in self._cache.values())
-        return {"inference_calls": self.inference_calls, "cache_entries": entries}
 
 
 @dataclass
@@ -228,8 +192,3 @@ def verify_view(
         inconsistent_subgraphs=inconsistent,
         non_counterfactual_subgraphs=non_counterfactual,
     )
-
-
-def residual_prediction(model: GNNClassifier, graph: Graph, nodes: set[int]) -> int:
-    """Label assigned to ``G \\ G[nodes]`` (convenience wrapper for metrics)."""
-    return model.predict(remove_subgraph(graph, nodes))

@@ -359,7 +359,7 @@ class GNNClassifier:
 
         Equivalent to ``predict(induced_subgraph(graph, nodes))`` but sliced
         directly out of the graph's cached feature/adjacency matrices — the
-        vectorized ``EVerify`` hot path.
+        single ``EVerify`` probe (consistency, counterfactual, annotation).
         """
         return int(self._subset_logits(graph, nodes).argmax())
 
@@ -372,7 +372,8 @@ class GNNClassifier:
 
         All subsets are sliced out of the graph's cached CSR view, stacked
         into one block-diagonal operator, and classified in a single
-        message-passing pass — the ``EVerify`` batch-probe hot path.  A
+        message-passing pass — the probe behind ``EVerify.vp_extend`` and the
+        explainers' probe families.  A
         :class:`SubsetFamily` is never materialised: its blocks are gathered
         from its membership matrix (:meth:`_family_logits`).  Falls back
         to sequential subset inference for small batches or when scipy is

@@ -1,5 +1,6 @@
-"""The reference implementations stay out of the production import graph,
-and the retired backend toggle stays out of the package."""
+"""The reference implementations stay out of the production import graph
+and off the production batch probe, and the retired backend toggle stays
+out of the package."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.approx import ApproxGVEX
+from repro.core.config import Configuration
+from repro.core.oracles import ReferenceApproxGVEX, ReferenceStreamGVEX
+from repro.gnn.models import GNNClassifier
 
 ORACLES = "repro.core.oracles"
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
@@ -84,3 +89,22 @@ def test_the_graphs_package_exports_no_toggle():
 
     exported = set(repro.graphs.__all__) | set(vars(repro.graphs))
     assert not exported & {"sparse_enabled", "set_sparse_backend", "sparse_backend"}
+
+
+def test_oracle_explainers_never_reach_the_batch_probe(trained_mut_model, mut_database, monkeypatch):
+    """The oracles probe one subset at a time.  With the production batch
+    probe patched to raise they still explain a label group; were they to
+    fall through to it, the identity tests would compare production with
+    itself.  The production explainer does reach the patched probe."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("batch probe reached")
+
+    config = Configuration(theta=0.08).with_default_bound(0, 8)
+    graphs = mut_database.graphs
+    label = 1
+    monkeypatch.setattr(GNNClassifier, "subsets_logits", refuse)
+    for oracle in (ReferenceApproxGVEX, ReferenceStreamGVEX):
+        view = oracle(trained_mut_model, config).explain_label(graphs, label)
+        assert view.subgraphs
+    with pytest.raises(AssertionError, match="batch probe reached"):
+        ApproxGVEX(trained_mut_model, config).explain_label(graphs, label)

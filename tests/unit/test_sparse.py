@@ -170,17 +170,6 @@ class TestModelEquivalence:
         duplicated = trained_mut_model.predict_proba_nodes(graph, nodes + nodes[:2])
         np.testing.assert_array_equal(duplicated, reference)
 
-    def test_everify_cache_drops_superseded_versions(self, trained_mut_model):
-        graph = build_test_graph()
-        everify = EVerify(trained_mut_model.__class__(feature_dim=2, num_classes=2))
-        everify.model.is_trained = True
-        label = everify.predict(graph)
-        everify.is_consistent(graph, set(graph.nodes[:3]), label)
-        entries_before = everify.stats()["cache_entries"]
-        graph.add_node(42, "C", features=[0.5, 0.5])
-        everify.predict(graph)  # new version: superseded entries evicted
-        assert everify.stats()["cache_entries"] <= entries_before
-
     def test_everify_and_gains_identical(self, trained_mut_model, mut_database):
         config = Configuration().with_default_bound(0, 6)
         graph = mut_database[0]

@@ -1,6 +1,6 @@
 """Batched stream swaps vs the per-node reference pass.
 
-``StreamGVEX`` processes each arriving batch in one go: primed VpExtend
+``StreamGVEX`` processes each arriving batch in one go: batched VpExtend
 verdicts, swap-first IncUpdateVS and short-circuit novelty probes.
 :class:`~repro.core.oracles.ReferenceStreamGVEX` runs the paper-literal
 per-node loop.  The two must produce *identical* views — same node sets,

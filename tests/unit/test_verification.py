@@ -39,15 +39,6 @@ class TestEVerify:
         label = trained_mut_model.predict(mutagen_graph)
         assert not everify.is_counterfactual(mutagen_graph, set(), label)
 
-    def test_caching_reduces_inference_calls(self, trained_mut_model, mutagen_graph):
-        everify = EVerify(trained_mut_model)
-        nodes = set(mutagen_graph.nodes[:4])
-        everify.is_consistent(mutagen_graph, nodes, 1)
-        calls = everify.inference_calls
-        everify.is_consistent(mutagen_graph, nodes, 1)
-        assert everify.inference_calls == calls
-        assert everify.stats()["cache_entries"] >= 1
-
     def test_annotate_fills_flags(self, trained_mut_model, mutagen_graph):
         everify = EVerify(trained_mut_model)
         explanation = ExplanationSubgraph(
