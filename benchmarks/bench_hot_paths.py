@@ -9,7 +9,9 @@ and reports ``reference_seconds / fast_seconds``:
   (boolean masks, one marginal gain per candidate);
 * ``everify`` — ``EVerify`` consistency/counterfactual probes, vs
   :class:`~repro.core.oracles.ReferenceEVerify` (one materialised induced
-  subgraph per probe);
+  subgraph per probe); the untimed ``vp_extend_identical`` flag checks the
+  frontier path the explainers run (``EVerify.vp_extend``, one batched
+  probe per frontier) against the reference's per-node loop;
 * ``pattern_matching`` — the matcher call mix of the coverage/query paths
   (existence, capped covered-node sets, capped matching counts) through the
   indexed engine, vs the reference backtracking search and
@@ -334,6 +336,31 @@ def bench_everify(context: BenchContext, reps: int, reference: bool = False) -> 
                 everify.is_consistent(graph, nodes, label)
             everify.is_counterfactual(graph, probes[-1], label)
     return time.perf_counter() - start
+
+
+def check_vp_extend_identical(context: BenchContext, max_sets: int = 32) -> bool:
+    """``EVerify.vp_extend`` verdicts equal ``ReferenceEVerify.vp_extend``.
+
+    Untimed: :func:`bench_everify` times single probes, while the explainers
+    ask ``VpExtend`` about a whole frontier at once.  Each probe set of
+    :func:`_probe_sets` stands for a selection, its unselected neighbours for
+    the frontier, under the ``consistent`` and ``strict`` modes.
+    """
+    for mode in ("consistent", "strict"):
+        config = replace(Configuration(), verification_mode=mode)
+        fast, reference = EVerify(context.model), ReferenceEVerify(context.model)
+        for graph in context.database.graphs:
+            label = fast.predict(graph)
+            for selected in _probe_sets(graph, max_sets):
+                frontier = sorted(
+                    {neighbour for node in selected for neighbour in graph.neighbors(node)}
+                    - selected
+                )
+                if fast.vp_extend(graph, frontier, set(selected), label, config) != (
+                    reference.vp_extend(graph, frontier, set(selected), label, config)
+                ):
+                    return False
+    return True
 
 
 def check_identical_views(context: BenchContext, config) -> dict:
@@ -876,6 +903,7 @@ def run_benchmark(
     service_warm_speedups: list[float] = []
     service_direct_ratios: list[float] = []
     views_identical = True
+    vp_extend_identical = True
     lazy_eager_identical = True
     stream_identical = True
     matching_identical = True
@@ -899,6 +927,8 @@ def run_benchmark(
         fast_mining, fast_mining_sig = bench_mining(context, reps)
         views = check_identical_views(context, config)
         views_identical = views_identical and views["identical"]
+        frontier_identical = check_vp_extend_identical(context)
+        vp_extend_identical = vp_extend_identical and frontier_identical
         influence_speedup = reference_influence / max(fast_influence, 1e-9)
         everify_speedup = reference_everify / max(fast_everify, 1e-9)
         matching_speedup = reference_matching / max(fast_matching, 1e-9)
@@ -989,6 +1019,7 @@ def run_benchmark(
                 "speedup": stream_speedup,
             },
             "views_identical": views["identical"],
+            "vp_extend_identical": frontier_identical,
             "lazy_eager_identical": lazy_sets == eager_sets,
             "stream_identical": stream_fast_sets == stream_reference_sets,
             "matching_identical": reference_matching_sig == fast_matching_sig,
@@ -1007,6 +1038,7 @@ def run_benchmark(
     report["wal_ingest_ratio_min"] = min(wal_ratios)
     report["wal_identical"] = wal_identical
     report["views_identical"] = views_identical
+    report["vp_extend_identical"] = vp_extend_identical
     report["lazy_eager_identical"] = lazy_eager_identical
     report["stream_identical"] = stream_identical
     report["matching_identical"] = matching_identical

@@ -101,6 +101,11 @@ IDENTITY_FLAGS = {
         "views_identical",
         "ApproxGVEX and ReferenceApproxGVEX no longer produce identical views",
     ),
+    "everify_speedup_min": (
+        "vp_extend_identical",
+        "EVerify.vp_extend's batched frontier verdicts no longer match "
+        "ReferenceEVerify's per-node loop",
+    ),
     "explain_label_speedup_min": (
         "lazy_eager_identical",
         "lazy (CELF) and eager selection no longer produce identical node sets",

@@ -70,6 +70,7 @@ def test_vectorized_hot_paths(benchmark):
             report[key] = max(report[key], second[key])
         for flag in (
             "views_identical",
+            "vp_extend_identical",
             "lazy_eager_identical",
             "stream_identical",
             "matching_identical",
@@ -84,6 +85,9 @@ def test_vectorized_hot_paths(benchmark):
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
     assert report["views_identical"], "ApproxGVEX and its oracle must produce identical views"
+    assert report["vp_extend_identical"], (
+        "EVerify.vp_extend must give ReferenceEVerify's per-node verdicts"
+    )
     assert report["lazy_eager_identical"], (
         "lazy (CELF) and eager selection must produce identical node sets"
     )

@@ -22,12 +22,12 @@ views.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 from repro.api.types import Explainer
 from repro.core.config import Configuration
-from repro.core.explanation import ExplanationSubgraph, ExplanationView
+from repro.core.explanation import ExplanationRow, ExplanationSubgraph, ExplanationView
 from repro.exceptions import ExplanationError
 from repro.graphs.graph import Graph
 
@@ -80,19 +80,17 @@ class InstanceViewExplainer:
             raise AttributeError(attr)
         return getattr(self.base, attr)
 
-    def explain_rows(self, graphs: Sequence[Graph], label: int) -> list[ExplanationSubgraph]:
+    def explain_rows(self, graphs: Sequence[Graph], label: int) -> list[ExplanationRow]:
         """One instance explanation per non-empty graph the model assigns ``label``."""
         graphs = [graph for graph in graphs if graph.num_nodes() > 0]
         predicted = self.model.predict_many(graphs)
         return [
-            self.base.explain_instance(graph)
+            ExplanationRow(graph.graph_id, label, self.base.explain_instance(graph))
             for graph, assigned in zip(graphs, predicted)
             if assigned == label
         ]
 
-    def assemble(
-        self, rows: Sequence[ExplanationSubgraph], label: int, start: float
-    ) -> ExplanationView:
+    def assemble(self, rows: Iterable[ExplanationRow], label: int, start: float) -> ExplanationView:
         from repro.core.approx import assemble_view
 
         return assemble_view(rows, label, self.pattern_generator, self.name, start)

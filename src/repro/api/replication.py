@@ -116,7 +116,7 @@ def view_signature(view: ExplanationView) -> str:
     Hashes everything queryable — label, total explainability, each witness
     subgraph (source graph id, node set, label, metrics, verification
     flags), and the pattern tier — while excluding wall-clock metadata
-    (per-row runtimes, histories), which legitimately differs between a
+    (runtimes), which legitimately differs between a
     primary and a replica that computed the same views.  Two views with
     equal signatures answer every downstream query identically.
     """

@@ -155,7 +155,7 @@ def subgraph_to_dict(
 
     ``include_source=True`` embeds the full source graph so the payload is
     self-contained; pass ``False`` when the consumer resolves graphs from a
-    shared database by id (smaller files, the parallel-shard wire format).
+    shared database by id (smaller files).
     """
     payload = subgraph.to_dict()
     if include_source:
@@ -185,14 +185,7 @@ def subgraph_from_dict(
                 "provided database"
             )
         source = Graph.from_dict(embedded)
-    return ExplanationSubgraph(
-        source_graph=source,
-        nodes=set(payload["nodes"]),
-        label=payload["label"],
-        explainability=payload.get("explainability", 0.0),
-        consistent=payload.get("consistent"),
-        counterfactual=payload.get("counterfactual"),
-    )
+    return ExplanationSubgraph.from_dict(payload, source)
 
 
 # ----------------------------------------------------------------------

@@ -793,10 +793,6 @@ class ServiceQuery:
         """Patterns unique to one label's view."""
         return self.engine.discriminative_patterns(label)
 
-    def graphs_with_pattern(self, pattern, label: int | None = None) -> list[Graph]:
-        """Source graphs containing a pattern (optionally label-filtered)."""
-        return self.engine.graphs_containing_pattern(pattern, label=label)
-
     # -- graph-centric --------------------------------------------------
     def witness(self, graph_id: int) -> dict[str, Any] | None:
         """The stored witness subgraph + matching patterns for one graph."""

@@ -13,13 +13,14 @@ against a deterministic :class:`ShardPlan`:
   the router assembles every view once.  Whole-database stream requests
   gather each shard's maintained ``stream_rows``; every other request
   (approx, baselines, stream with ``graph_ids``/``limit``) sends each shard
-  its members of the router's global selection (``explain_rows``).  The
-  rows go back into global order and one assembly builds the view: the
-  stream law of :func:`~repro.core.maintenance.assemble_view_from_rows`,
-  or one summarize pass over all explanation subgraphs
-  (:func:`~repro.core.approx.assemble_view`).  Each row depends on its
-  graph alone (stream node orders are seeded per graph), so every answer
-  is identical to the single-process service at any shard count.
+  its members of the router's global selection (``explain_rows``).  Rows
+  cross in one form (:class:`~repro.core.explanation.ExplanationRow`), go
+  back into global order, and one call,
+  :func:`~repro.core.explanation.assemble_view_from_rows`, decodes them and
+  builds the view with the explainer's own ``assemble`` law.  Each row
+  depends on its graph alone (stream node orders are seeded per graph), so
+  every answer is identical to the single-process service at any shard
+  count.
 
 Failure semantics: one outstanding request per worker (a per-shard mutex),
 a request timeout, and on timeout or a broken pipe the worker is respawned
@@ -64,7 +65,9 @@ from typing import Any
 from repro.api.planner import RequestPlanner
 from repro.api.registry import create_explainer
 from repro.api.replication import model_to_payload
-from repro.api.serialize import delta_from_dict, view_from_dict
+from repro.api.serialize import delta_from_dict
+# perfbench/tracing.py wraps the view decoder by this module's name.
+from repro.api.serialize import view_from_dict  # noqa: F401
 from repro.api.service import ServiceQuery
 from repro.api.sharding.plan import ShardPlan
 from repro.api.sharding.shm import create_arena
@@ -72,10 +75,8 @@ from repro.api.sharding.worker import ShardHost, shard_worker_main
 from repro.api.store import ViewStore
 from repro.api.types import ExplainRequest, ExplanationResult
 from repro.core.config import Configuration
-from repro.core.explanation import ExplanationViewSet
+from repro.core.explanation import ExplanationViewSet, assemble_view_from_rows
 from repro.core.faults import activate_from_config, fault_point
-from repro.core.maintenance import assemble_view_from_rows
-from repro.core.streaming import StreamGVEX
 from repro.exceptions import ExplanationError, PoisonRequestError, ShardDownError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -735,18 +736,17 @@ class ShardRouter:
         return rows, missing_shards
 
     def _stream_view(self, request: ExplainRequest):
+        start = time.perf_counter()
         rows, missing_shards = self._shard_rows(request.label)
-        missing = [
-            row["graph_id"] for row in rows if row["graph_id"] not in self.planner.graphs_by_id
-        ]
-        if missing:
-            raise ExplanationError(
-                f"shard rows reference graphs {missing[:5]!r} unknown to the "
-                "router; the shards and the router database have diverged"
-            )
-        return (
-            assemble_view_from_rows(rows, request.label, self.planner.graphs_by_id),
-            missing_shards,
+        return self._assemble(request, rows, start), missing_shards
+
+    def _assemble(self, request: ExplainRequest, rows: list[dict[str, Any]], start: float):
+        """Decode shard rows and build one view with the request explainer's law."""
+        explainer = create_explainer(
+            request.algorithm, self.model, config=request.effective_config()
+        )
+        return assemble_view_from_rows(
+            rows, request.label, self.planner.graphs_by_id, explainer, start
         )
 
     def _rows_view(self, request: ExplainRequest):
@@ -776,27 +776,9 @@ class ShardRouter:
             ]
         )
         position = {graph.graph_id: index for index, graph in enumerate(graphs)}
-        explainer = create_explainer(
-            request.algorithm, self.model, config=request.effective_config()
-        )
-        if isinstance(explainer, StreamGVEX):
-            rows = [row for response in responses for row in response["rows"]]
-            rows.sort(key=lambda row: position[row["graph_id"]])
-            view = assemble_view_from_rows(
-                rows, request.label, self.planner.graphs_by_id,
-                batch_size=explainer.batch_size,
-            )
-        else:
-            subgraphs = [
-                subgraph
-                for response in responses
-                for subgraph in view_from_dict(
-                    response["view"], graphs_by_id=self.planner.graphs_by_id
-                ).subgraphs
-            ]
-            subgraphs.sort(key=lambda subgraph: position[subgraph.source_graph.graph_id])
-            view = explainer.assemble(subgraphs, request.label, start)
-        return view, graphs, missing_shards
+        rows = [row for response in responses for row in response["rows"]]
+        rows.sort(key=lambda row: position[row["graph_id"]])
+        return self._assemble(request, rows, start), graphs, missing_shards
 
     # ------------------------------------------------------------------
     # mutations (routed to the owning shard, then mirrored globally)
@@ -903,11 +885,15 @@ class ShardRouter:
         with self._lock:
             if self._live_cache is not None and self._live_cache[0] == version:
                 return self._live_cache[1]
+        start = time.perf_counter()
         rows, missing_shards = self._shard_rows(None)
         labels = sorted({row["label"] for row in rows if row["label"] is not None})
+        explainer = create_explainer("stream", self.model, config=self.config)
         views = ExplanationViewSet()
         for label in labels:
-            views.add(assemble_view_from_rows(rows, label, self.planner.graphs_by_id))
+            views.add(
+                assemble_view_from_rows(rows, label, self.planner.graphs_by_id, explainer, start)
+            )
         if missing_shards:
             return views  # partial: never cached, heals on the next call
         with self._lock:

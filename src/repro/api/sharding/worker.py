@@ -25,14 +25,11 @@ from typing import Any
 
 from repro.api.registry import create_explainer
 from repro.api.replication import model_from_payload
-from repro.api.serialize import view_to_dict
 from repro.api.service import ExplanationService
 from repro.api.sharding.shm import attach_arena
 from repro.api.types import ExplainRequest
 from repro.core.config import Configuration
-from repro.core.explanation import ExplanationView
 from repro.core.faults import FaultPlan, activate, fault_point
-from repro.core.streaming import StreamGVEX
 from repro.exceptions import ExplanationError, ReproError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -156,10 +153,9 @@ class ShardHost:
 
         The router selects the graphs (it owns the test split and the
         predicted-label memo), sends each shard its members in request
-        order, and assembles the rows of every shard once.  Stream rows are
-        :meth:`~repro.core.maintenance.ViewMaintainer.row_payloads`; any
-        other algorithm answers with a pattern-less view whose subgraphs are
-        the rows.
+        order, and assembles the rows of every shard once.  Every algorithm
+        answers with its ``explain_rows`` in the
+        :meth:`~repro.core.explanation.ExplanationRow.to_dict` form.
         """
         request = self._request_from(payload)
         database = self.service.database
@@ -174,14 +170,10 @@ class ShardHost:
         explainer = create_explainer(
             request.algorithm, self.service.model, config=request.effective_config()
         )
-        label = request.label
-        if isinstance(explainer, StreamGVEX):
-            return {"rows": explainer.maintain(graphs, label).row_payloads(label)}
-        view = ExplanationView(label, subgraphs=explainer.explain_rows(graphs, label))
-        return {"view": view_to_dict(view, include_source=False)}
+        return {"rows": [row.to_dict() for row in explainer.explain_rows(graphs, request.label)]}
 
     def _op_stream_rows(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """This shard's maintained stream rows (the snapshot wire format).
+        """This shard's maintained stream rows, in database order.
 
         The router reassembles rows from every shard in global database
         order and builds the view itself — each row's node stream is fully
@@ -189,7 +181,7 @@ class ShardHost:
         bit-identical to a single-process StreamGVEX run at any shard count.
         """
         maintainer = self.service.enable_live_views()
-        rows = maintainer.row_payloads(payload.get("label"))
+        rows = [row.to_dict() for row in maintainer.rows(payload.get("label"))]
         return {"rows": rows, "version": self.service.database.version}
 
     def _op_mutate(self, payload: dict[str, Any]) -> dict[str, Any]:

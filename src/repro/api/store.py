@@ -166,11 +166,6 @@ class ViewStore:
             raise ExplanationError(f"cannot derive a snapshot filename from key {key!r}")
         return self.spill_dir / f"{safe}.snapshot.json"
 
-    def results_in_memory(self) -> list[ExplanationResult]:
-        """The hot tier's results, most recently used last."""
-        with self._lock:
-            return list(self._memory.values())
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {

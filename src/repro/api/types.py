@@ -33,12 +33,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.core.config import Configuration
-from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
+from repro.core.explanation import (
+    ExplanationRow,
+    ExplanationSubgraph,
+    ExplanationView,
+    ExplanationViewSet,
+)
 from repro.exceptions import ExplanationError
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
@@ -67,14 +72,23 @@ class Explainer(Protocol):
 
     The two GVEX algorithms satisfy this protocol as-is; baselines are
     adapted.  ``explain_label`` is the view-producing entry point (the unit
-    of caching and serving); ``explain_instance`` is the single-graph
-    convenience used by the comparison experiments.  The sharded tier also
-    needs ``explain_label`` split in two: ``explain_rows`` (per-graph rows,
-    computed on the shards) and ``assemble`` (one pass over every row, on
-    the router) — ``StreamGVEX`` answers with maintainer rows instead.
+    of caching and serving) and is ``assemble(explain_rows(...))`` in every
+    implementation: ``explain_rows`` computes one
+    :class:`~repro.core.explanation.ExplanationRow` per graph (on the shards,
+    in the sharded tier) and ``assemble`` builds the view from every row once
+    (on the router).  ``explain_instance`` is the single-graph convenience
+    used by the comparison experiments.
     """
 
     model: Any
+
+    def explain_rows(self, graphs: Sequence[Graph], label: int) -> list[ExplanationRow]:
+        """One row per graph of the label group, in input order."""
+        ...
+
+    def assemble(self, rows: Iterable[ExplanationRow], label: int, start: float) -> ExplanationView:
+        """The view over ``rows``; ``runtime_seconds`` counts from ``start``."""
+        ...
 
     def explain_label(self, graphs: Sequence[Graph], label: int) -> ExplanationView:
         """Two-tier explanation view for one label group."""

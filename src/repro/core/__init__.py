@@ -17,7 +17,6 @@ from repro.core.quality import CoverageState, GraphAnalysis, view_explainability
 from repro.core.selection import lazy_greedy_select
 from repro.core.summarize import SummarizeResult, pattern_weight, summarize_subgraphs
 from repro.core.verification import EVerify, VerificationReport, verify_view
-from repro.core.views import PatternOccurrence
 
 __all__ = [
     "Configuration",
@@ -39,5 +38,4 @@ __all__ = [
     "MaintainedExplanation",
     "NodeStreamProcessor",
     "ViewMaintainer",
-    "PatternOccurrence",
 ]

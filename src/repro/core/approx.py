@@ -38,7 +38,12 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.core.config import Configuration, CoverageBound
-from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
+from repro.core.explanation import (
+    ExplanationRow,
+    ExplanationSubgraph,
+    ExplanationView,
+    ExplanationViewSet,
+)
 from repro.core.quality import GraphAnalysis
 from repro.core.sampling import build_analysis
 from repro.core.selection import lazy_greedy_select, top_up_select
@@ -49,7 +54,6 @@ from repro.gnn.models import GNNClassifier
 from repro.graphs.database import GraphDatabase
 from repro.graphs.graph import Graph
 from repro.graphs.sparse import SubsetFamily
-from repro.graphs.subgraph import induced_subgraph
 from repro.matching.engine import apply_config_cache_size
 from repro.mining.candidates import PatternGenerator
 
@@ -273,26 +277,23 @@ class ApproxGVEX:
         """Predicted label per graph (one batched pass for the whole group)."""
         return self.model.predict_many(graphs)
 
-    def explain_rows(self, graphs: Sequence[Graph], label: int) -> list[ExplanationSubgraph]:
+    def explain_rows(self, graphs: Sequence[Graph], label: int) -> list[ExplanationRow]:
         """The explanation phase over a label group: one row per graph.
 
-        A row is the explanation subgraph of a graph the GNN assigns
+        A row holds the explanation subgraph of a graph the GNN assigns
         ``label``, in input order; graphs without one (Algorithm 1 lines
-        16-17) contribute no row.  Each row depends on its graph alone, which
-        is what lets a sharded tier compute rows anywhere and assemble once.
+        16-17) contribute no row.
         """
-        rows: list[ExplanationSubgraph] = []
+        rows: list[ExplanationRow] = []
         for graph, predicted in zip(graphs, self._predicted_labels(graphs)):
             if predicted != label:
                 continue
             explanation = self.explain_graph(graph, label)
             if explanation is not None:
-                rows.append(explanation)
+                rows.append(ExplanationRow(graph.graph_id, label, explanation))
         return rows
 
-    def assemble(
-        self, rows: Sequence[ExplanationSubgraph], label: int, start: float
-    ) -> ExplanationView:
+    def assemble(self, rows: Iterable[ExplanationRow], label: int, start: float) -> ExplanationView:
         """This explainer's view over ``rows`` (see :func:`assemble_view`)."""
         return assemble_view(rows, label, self.pattern_generator, "ApproxGVEX", start)
 
@@ -338,13 +339,9 @@ class ApproxGVEX:
             self.everify.annotate(explanation)
         return explanation
 
-    def induced_view_subgraphs(self, view: ExplanationView) -> list[Graph]:
-        """Materialised subgraph objects of a view (utility for case studies)."""
-        return [induced_subgraph(sub.source_graph, sub.nodes) for sub in view.subgraphs]
-
 
 def assemble_view(
-    rows: Sequence[ExplanationSubgraph],
+    rows: Iterable[ExplanationRow],
     label: int,
     pattern_generator: PatternGenerator,
     algorithm: str,
@@ -360,15 +357,15 @@ def assemble_view(
     shard and put back in request order, so a sharded answer is the
     single-process answer.
     """
-    rows = list(rows)
+    subgraphs = [row.subgraph for row in rows if row.subgraph is not None]
     summary = summarize_subgraphs(
-        [row.subgraph() for row in rows], pattern_generator=pattern_generator
+        [subgraph.subgraph() for subgraph in subgraphs], pattern_generator=pattern_generator
     )
     return ExplanationView(
         label=label,
         patterns=summary.patterns,
-        subgraphs=rows,
-        explainability=float(sum(row.explainability for row in rows)),
+        subgraphs=subgraphs,
+        explainability=float(sum(subgraph.explainability for subgraph in subgraphs)),
         metadata={
             "algorithm": algorithm,
             "edge_loss": summary.edge_loss,

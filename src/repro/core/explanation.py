@@ -6,6 +6,10 @@ These are the output objects of GVEX (section 2.2):
   source graph that is consistent (same predicted label) and counterfactual
   (removing it flips the prediction);
 * :class:`ExplanationView` — one label's two-tier view ``(P^l, G_s^l)``;
+* :class:`ExplanationRow` — one graph's share of a view, the unit every
+  fan-out boundary carries (:meth:`ExplanationRow.to_dict` is its one wire
+  and snapshot form, :func:`assemble_view_from_rows` its one decode and
+  assembly call);
 * :class:`ExplanationViewSet` — the per-label collection ``{G^l_V | l in L}``
   returned by the end-to-end explainers, with the query helpers that make the
   views "queryable".
@@ -13,16 +17,23 @@ These are the output objects of GVEX (section 2.2):
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.exceptions import ExplanationError
 from repro.graphs.graph import Graph
 from repro.graphs.pattern import GraphPattern
 from repro.graphs.subgraph import induced_subgraph, remove_subgraph
 from repro.matching.engine import has_matching
 
-__all__ = ["ExplanationSubgraph", "ExplanationView", "ExplanationViewSet"]
+__all__ = [
+    "ExplanationRow",
+    "ExplanationSubgraph",
+    "ExplanationView",
+    "ExplanationViewSet",
+    "assemble_view_from_rows",
+]
 
 
 @dataclass
@@ -70,6 +81,79 @@ class ExplanationSubgraph:
             "consistent": self.consistent,
             "counterfactual": self.counterfactual,
         }
+
+    @classmethod
+    def from_dict(cls, payload: dict[str, Any], source_graph: Graph) -> "ExplanationSubgraph":
+        """The subgraph fields of a :meth:`to_dict` or row payload, over ``source_graph``.
+
+        Values come back exactly as JSON carried them (no ``float()``
+        coercion), so a decoded view hashes like the one that was encoded.
+        """
+        return cls(
+            source_graph=source_graph,
+            nodes=set(payload["nodes"]),
+            label=payload["label"],
+            explainability=payload.get("explainability", 0.0),
+            consistent=payload.get("consistent"),
+            counterfactual=payload.get("counterfactual"),
+        )
+
+
+@dataclass
+class ExplanationRow:
+    """One graph's share of a label's view.
+
+    ``subgraph`` is the graph's explanation subgraph, or ``None`` when the
+    streaming pass could not meet the lower coverage bound.  ``patterns``
+    are the patterns StreamGVEX maintains per graph; ApproxGVEX and the
+    baselines leave them empty and mine patterns once, at assembly.
+    ``runtime_seconds`` is the streaming pass's cost for this graph (0.0
+    where an explainer does not time its rows).  A row depends on its
+    graph alone, which is what lets a sharded tier compute rows anywhere
+    and assemble them once.
+    """
+
+    graph_id: int | None
+    label: int | None
+    subgraph: ExplanationSubgraph | None
+    patterns: list[GraphPattern] = field(default_factory=list)
+    runtime_seconds: float = 0.0
+
+    def to_dict(self) -> dict[str, Any]:
+        """The row's JSON-safe form: the wire format and the snapshot row."""
+        subgraph = self.subgraph
+        return {
+            "graph_id": self.graph_id,
+            "label": self.label,
+            "nodes": None if subgraph is None else sorted(subgraph.nodes),
+            "explainability": None if subgraph is None else subgraph.explainability,
+            "consistent": None if subgraph is None else subgraph.consistent,
+            "counterfactual": None if subgraph is None else subgraph.counterfactual,
+            "patterns": [pattern.to_dict() for pattern in self.patterns],
+            "runtime_seconds": self.runtime_seconds,
+        }
+
+    @classmethod
+    def from_dict(
+        cls, payload: dict[str, Any], source_graph: Graph | None, **fields: Any
+    ) -> "ExplanationRow":
+        """Inverse of :meth:`to_dict`, over the decoding side's graph.
+
+        ``fields`` are passed on to the constructor (a subclass's own
+        fields).
+        """
+        return cls(
+            graph_id=payload.get("graph_id"),
+            label=payload.get("label"),
+            subgraph=(
+                None
+                if payload.get("nodes") is None
+                else ExplanationSubgraph.from_dict(payload, source_graph)
+            ),
+            patterns=[GraphPattern.from_dict(entry) for entry in payload.get("patterns", [])],
+            runtime_seconds=float(payload.get("runtime_seconds", 0.0)),
+            **fields,
+        )
 
 
 @dataclass
@@ -196,3 +280,39 @@ class ExplanationViewSet:
 
     def to_dict(self) -> dict[str, Any]:
         return {"views": [view.to_dict() for view in self]}
+
+
+def assemble_view_from_rows(
+    payloads: Iterable[dict[str, Any]],
+    label: int,
+    graphs_by_id: dict[int | None, Graph],
+    explainer: Any,
+    start: float,
+) -> ExplanationView:
+    """Decode row payloads and assemble one label's view with ``explainer``.
+
+    The receiving half of every fan-out: a coordinator collects
+    :meth:`ExplanationRow.to_dict` payloads, puts them in its own global
+    order, and hands them here together with the explainer whose
+    ``assemble`` law builds the view.  Payloads of another label are
+    skipped, so callers may pass unfiltered rows.  Raises when a row names
+    a graph ``graphs_by_id`` does not hold: placement and assembly must
+    agree on membership, and silently dropping a row would corrupt the
+    view.
+    """
+
+    def decoded() -> Iterator[ExplanationRow]:
+        # Lazily: an assembly keeps few of a row's decoded patterns, so the
+        # rest are freed row by row instead of all living until the end.
+        for payload in payloads:
+            if payload.get("label") != label:
+                continue
+            graph = graphs_by_id.get(payload.get("graph_id"))
+            if graph is None:
+                raise ExplanationError(
+                    f"cannot assemble the view for label {label}: row graph "
+                    f"{payload.get('graph_id')!r} is not in the assembling database"
+                )
+            yield ExplanationRow.from_dict(payload, graph)
+
+    return explainer.assemble(decoded(), label, start)

@@ -12,7 +12,7 @@ lifts that machinery one level up, to a stream of whole-database mutations:
   single implementation of the swap/pattern logic.
 * :class:`ViewMaintainer` owns the live view state: one
   :class:`MaintainedExplanation` row per streamed graph (its node cache
-  ``Vs``, pattern set ``Pc``, anytime history, and cost accounting), pattern
+  ``Vs``, pattern set ``Pc``, and cost accounting), pattern
   reference counts per label, and lazily reassembled
   :class:`~repro.core.explanation.ExplanationView` objects.  Applying a
   database delta — a graph arriving, leaving, or being relabelled — repairs
@@ -47,11 +47,16 @@ import random
 import time
 import weakref
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.config import Configuration
-from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
+from repro.core.explanation import (
+    ExplanationRow,
+    ExplanationSubgraph,
+    ExplanationView,
+    ExplanationViewSet,
+)
 from repro.core.quality import GraphAnalysis
 from repro.core.sampling import build_analysis
 # perfbench/tracing.py wraps the selection engine by this module's name.
@@ -72,7 +77,7 @@ __all__ = [
     "MaintainedExplanation",
     "NodeStreamProcessor",
     "ViewMaintainer",
-    "assemble_view_from_rows",
+    "assemble_stream_view",
 ]
 
 SNAPSHOT_KIND = "view_maintainer_snapshot"
@@ -408,28 +413,28 @@ class _WeakMaintainerHook:
             database.unsubscribe(self)
 
 
-@dataclass
-class MaintainedExplanation:
+@dataclass(kw_only=True)
+class MaintainedExplanation(ExplanationRow):
     """One live "coverage row" of the maintained view state.
 
-    Everything the streaming pass produced for one graph — its node cache as
-    an :class:`ExplanationSubgraph` (``None`` when the lower coverage bound
-    was not met), its pattern set, its anytime history, and cost accounting —
-    retained so that database mutations never re-stream unaffected graphs.
+    The :class:`~repro.core.explanation.ExplanationRow` the streaming pass
+    produced for one graph — its node cache as an
+    :class:`ExplanationSubgraph` (``None`` when the lower coverage bound was
+    not met), its pattern set and cost accounting — plus the graph and its
+    stored label, retained so that database mutations never re-stream
+    unaffected graphs.
     """
 
-    graph_id: int | None
-    label: int | None
     graph: Graph
-    subgraph: ExplanationSubgraph | None
-    patterns: list[GraphPattern] = field(default_factory=list)
-    history: list[dict] = field(default_factory=list)
     stored_label: int | None = None
-    runtime_seconds: float = 0.0
     # Materialised explanation subgraph, cached so repeated verification
     # passes reuse one graph object (and the coverage matcher's memo keys,
     # which embed object identity, actually hit).
     _materialized: Graph | None = None
+
+    def to_dict(self) -> dict[str, Any]:
+        """The row codec's form plus ``stored_label`` (snapshot and live wire row)."""
+        return super().to_dict() | {"stored_label": self.stored_label}
 
     def pattern_keys(self) -> set[tuple]:
         return {pattern.canonical_key() for pattern in self.patterns}
@@ -463,8 +468,6 @@ class ViewMaintainer:
         is then pure bookkeeping.  ``"stored"`` groups by the database's
         ground-truth label, so a relabel delta moves the graph between label
         groups and re-streams it (one graph's work) under the new label.
-    record_history:
-        Record the per-batch anytime curve for every streamed graph.
     label_predictor:
         Optional ``graph -> int | None`` callable consulted before running
         the model for a graph's predicted label — lets an owner with a
@@ -482,7 +485,6 @@ class ViewMaintainer:
         seed: int | None = None,
         labels: Iterable[int] | None = None,
         label_source: str = "predicted",
-        record_history: bool = False,
         label_predictor=None,
     ) -> None:
         if processor is None:
@@ -500,7 +502,6 @@ class ViewMaintainer:
         self.config = processor.config
         self.labels = frozenset(labels) if labels is not None else None
         self.label_source = label_source
-        self.record_history = record_history
         self.label_predictor = label_predictor
         # Rows are keyed by an internal monotonic id (graph ids can be None
         # or — in hand-built databases — duplicated); _by_graph_id maps a
@@ -624,9 +625,7 @@ class ViewMaintainer:
         if group is None or (self.labels is not None and group not in self.labels):
             return None
         start = time.perf_counter()
-        subgraph, patterns, history = self.processor.explain_graph(
-            graph, group, record_history=self.record_history
-        )
+        subgraph, patterns, _ = self.processor.explain_graph(graph, group)
         elapsed = time.perf_counter() - start
         row = MaintainedExplanation(
             graph_id=graph.graph_id,
@@ -634,7 +633,6 @@ class ViewMaintainer:
             graph=graph,
             subgraph=subgraph,
             patterns=patterns,
-            history=history,
             stored_label=stored_label,
             runtime_seconds=elapsed,
         )
@@ -742,15 +740,21 @@ class ViewMaintainer:
             views.add(self.view_for(label))
         return views
 
-    def _ordered_rows(self) -> list[MaintainedExplanation]:
-        """Rows in database order when attached, else in arrival order.
+    def rows(self, label: int | None = None) -> list[MaintainedExplanation]:
+        """Rows (of one label, or all) in database order when attached, else
+        in arrival order.
 
         Database order is what a full ``StreamGVEX.explain_label`` recompute
         would iterate, so following it keeps view assembly (subgraph order,
         pattern first-seen deduplication, float summation order) *identical*
         to the recompute even after relabels or remove-and-re-add cycles.
+        Because every graph's node stream is shuffled by a *fresh* seeded
+        generator, rows are independent of iteration order: a front-end
+        holding rows from several maintainers (one per database shard) can
+        put them in its own global order and assemble them once, reproducing
+        :meth:`view_for` bit for bit.
         """
-        rows = list(self._rows.values())
+        rows = [row for row in self._rows.values() if label is None or row.label == label]
         if self.database is None:
             return rows
         position = {graph.graph_id: idx for idx, graph in enumerate(self.database.graphs)}
@@ -762,13 +766,12 @@ class ViewMaintainer:
         return rows
 
     def _build_view(self, label: int) -> ExplanationView:
-        rows = [row for row in self._ordered_rows() if row.label == label]
-        histories = [row.history for row in rows] if self.record_history else []
-        return _assemble_stream_view(
-            ((row.subgraph, row.patterns, row.runtime_seconds) for row in rows),
+        rows = self.rows(label)
+        return assemble_stream_view(
+            rows,
             label,
             self.processor.batch_size,
-            histories,
+            float(sum(row.runtime_seconds for row in rows)),
         )
 
     def verify_label(self, label: int) -> dict[str, Any]:
@@ -811,7 +814,7 @@ class ViewMaintainer:
         """A JSON-serialisable snapshot of the full maintained state.
 
         Holds everything needed to warm-restart without re-streaming:
-        per-row node sets, pattern payloads, histories and cost accounting,
+        per-row node sets, pattern payloads and cost accounting,
         plus the configuration fingerprint (a restore under a different
         configuration must refuse rather than serve mismatched views).
         """
@@ -822,64 +825,10 @@ class ViewMaintainer:
             "batch_size": self.processor.batch_size,
             "seed": self.processor.seed,
             "label_source": self.label_source,
-            "record_history": self.record_history,
             "labels": sorted(self.labels) if self.labels is not None else None,
             "database_version": self.database.version if self.database is not None else None,
-            "rows": [self._row_payload(row) for row in self._rows.values()],
+            "rows": [row.to_dict() for row in self._rows.values()],
         }
-
-    @staticmethod
-    def _row_payload(row: MaintainedExplanation) -> dict[str, Any]:
-        """One row's JSON-safe wire form (shared by snapshots and sharding)."""
-        return {
-            "graph_id": row.graph_id,
-            "label": row.label,
-            "stored_label": row.stored_label,
-            "nodes": sorted(row.subgraph.nodes) if row.subgraph is not None else None,
-            "explainability": (
-                row.subgraph.explainability if row.subgraph is not None else None
-            ),
-            "consistent": row.subgraph.consistent if row.subgraph is not None else None,
-            "counterfactual": (
-                row.subgraph.counterfactual if row.subgraph is not None else None
-            ),
-            "patterns": [pattern.to_dict() for pattern in row.patterns],
-            "history": row.history,
-            "runtime_seconds": row.runtime_seconds,
-        }
-
-    @staticmethod
-    def _subgraph_from_payload(
-        entry: dict[str, Any], graph: Graph | None
-    ) -> ExplanationSubgraph | None:
-        """A row payload's explanation subgraph over the decoding side's graph."""
-        nodes = entry.get("nodes")
-        if nodes is None:
-            return None
-        return ExplanationSubgraph(
-            source_graph=graph,
-            nodes=set(nodes),
-            label=entry["label"],
-            explainability=float(entry.get("explainability") or 0.0),
-            consistent=entry.get("consistent"),
-            counterfactual=entry.get("counterfactual"),
-        )
-
-    def row_payloads(self, label: int | None = None) -> list[dict[str, Any]]:
-        """Per-row wire payloads in database order (the sharded-assembly feed).
-
-        Each entry is exactly one :meth:`snapshot` row.  Because the
-        per-graph streaming pass shuffles every graph's node stream with a
-        *fresh* seeded generator, rows are independent of database iteration
-        order — a front-end holding rows from several maintainers (one per
-        database shard) can reorder them by its own global database order
-        and hand them to :func:`assemble_view_from_rows`, reproducing
-        :meth:`view_for`'s assembly bit-for-bit.
-        """
-        rows = self._ordered_rows()
-        if label is not None:
-            rows = [row for row in rows if row.label == label]
-        return [self._row_payload(row) for row in rows]
 
     @classmethod
     def from_snapshot(
@@ -914,7 +863,6 @@ class ViewMaintainer:
             seed=payload.get("seed"),
             labels=payload.get("labels"),
             label_source=payload.get("label_source", "predicted"),
-            record_history=bool(payload.get("record_history", False)),
         )
         fingerprint = maintainer.config.fingerprint()
         if payload.get("config_fingerprint") != fingerprint:
@@ -936,15 +884,8 @@ class ViewMaintainer:
             # then re-streamed — rather than resurrected as a wrong view.
             if nodes is not None and not set(nodes) <= set(graph.nodes):
                 continue
-            restored[graph.graph_id] = MaintainedExplanation(
-                graph_id=graph.graph_id,
-                label=entry.get("label"),
-                graph=graph,
-                subgraph=cls._subgraph_from_payload(entry, graph),
-                patterns=[GraphPattern.from_dict(p) for p in entry.get("patterns", [])],
-                history=list(entry.get("history", [])),
-                stored_label=entry.get("stored_label"),
-                runtime_seconds=float(entry.get("runtime_seconds", 0.0)),
+            restored[graph.graph_id] = MaintainedExplanation.from_dict(
+                entry, graph, graph=graph, stored_label=entry.get("stored_label")
             )
         # Install rows in *database order* so view assembly matches a fresh
         # replay exactly, then stream anything the snapshot did not cover.
@@ -1000,30 +941,28 @@ class ViewMaintainer:
 
 
 # ----------------------------------------------------------------------
-# cross-process view assembly (the sharded serving tier's identity lever)
+# the stream assembly law
 # ----------------------------------------------------------------------
-def _assemble_stream_view(
-    rows: Iterable[tuple[ExplanationSubgraph | None, Iterable[GraphPattern], float]],
+def assemble_stream_view(
+    rows: Iterable[ExplanationRow],
     label: int,
     batch_size: int,
-    histories: list[list[dict]],
+    runtime_seconds: float,
 ) -> ExplanationView:
     """The stream assembly law, over one label's rows in database order.
 
-    Each row is ``(subgraph or None, patterns, runtime seconds)``.
     Subgraphs in row order, patterns deduplicated by canonical key in
     first-seen order with reassigned ids, explainability summed in row
     order.  :meth:`ViewMaintainer.view_for` and
-    :func:`assemble_view_from_rows` both build their views here.
+    :meth:`~repro.core.streaming.StreamGVEX.assemble` both build their
+    views here.
     """
     subgraphs: list[ExplanationSubgraph] = []
     patterns: dict[tuple, GraphPattern] = {}
-    runtime = 0.0
-    for subgraph, row_patterns, seconds in rows:
-        runtime += seconds
-        if subgraph is not None:
-            subgraphs.append(subgraph)
-        for pattern in row_patterns:
+    for row in rows:
+        if row.subgraph is not None:
+            subgraphs.append(row.subgraph)
+        for pattern in row.patterns:
             patterns.setdefault(pattern.canonical_key(), pattern)
     pattern_list = list(patterns.values())
     for index, pattern in enumerate(pattern_list):
@@ -1036,52 +975,6 @@ def _assemble_stream_view(
         metadata={
             "algorithm": "StreamGVEX",
             "batch_size": batch_size,
-            "runtime_seconds": float(runtime),
-            "histories": histories,
+            "runtime_seconds": runtime_seconds,
         },
     )
-
-
-def assemble_view_from_rows(
-    rows: Sequence[dict[str, Any]],
-    label: int,
-    graphs_by_id: dict[int | None, Graph],
-    *,
-    batch_size: int = DEFAULT_STREAM_BATCH_SIZE,
-) -> ExplanationView:
-    """Assemble one label's two-tier view from maintainer row payloads.
-
-    The cross-process half of :meth:`ViewMaintainer.view_for`: a shard
-    router collects :meth:`ViewMaintainer.row_payloads` from per-shard
-    maintainers, orders them by its *global* order, and this function
-    decodes them into the same assembly law.  Since each row is computed
-    independently of database iteration order (fresh seeded node-stream
-    shuffle per graph), the result is bit-identical to a single maintainer
-    (and hence a full ``StreamGVEX`` recompute) over the unsharded
-    database.
-
-    ``rows`` entries whose label differs are skipped, so callers may hand
-    over unfiltered row lists.  Raises when a row references a graph the
-    assembling database does not hold — shard routing and assembly must
-    agree on membership, silently dropping a witness would corrupt the
-    view.
-    """
-
-    def decoded():
-        for entry in rows:
-            if entry.get("label") != label:
-                continue
-            graph = graphs_by_id.get(entry.get("graph_id"))
-            if graph is None and entry.get("nodes") is not None:
-                raise ExplanationError(
-                    f"cannot assemble the view for label {label}: row graph "
-                    f"{entry.get('graph_id')!r} is not in the assembling "
-                    "database"
-                )
-            yield (
-                ViewMaintainer._subgraph_from_payload(entry, graph),
-                (GraphPattern.from_dict(payload) for payload in entry.get("patterns", [])),
-                float(entry.get("runtime_seconds", 0.0)),
-            )
-
-    return _assemble_stream_view(decoded(), label, batch_size, [])

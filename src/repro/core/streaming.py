@@ -19,10 +19,15 @@ views live over a mutable :class:`~repro.graphs.database.GraphDatabase`.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from repro.core.explanation import ExplanationSubgraph, ExplanationView, ExplanationViewSet
-from repro.core.maintenance import NodeStreamProcessor, ViewMaintainer
+from repro.core.explanation import (
+    ExplanationRow,
+    ExplanationSubgraph,
+    ExplanationView,
+    ExplanationViewSet,
+)
+from repro.core.maintenance import NodeStreamProcessor, ViewMaintainer, assemble_stream_view
 from repro.core.sampling import build_analysis
 from repro.exceptions import ExplanationError
 from repro.graphs.database import GraphDatabase
@@ -43,39 +48,28 @@ class StreamGVEX(NodeStreamProcessor):
     # ------------------------------------------------------------------
     # per-label and full drivers (same shape as ApproxGVEX)
     # ------------------------------------------------------------------
-    def explain_label(
-        self,
-        graphs: Sequence[Graph],
-        label: int,
-        record_history: bool = False,
-    ) -> ExplanationView:
-        """Streamed explanation view for one label group.
+    def explain_rows(self, graphs: Sequence[Graph], label: int) -> list[ExplanationRow]:
+        """The label group's rows: one streamed row per graph the GNN assigns
+        ``label``, in input order.
 
-        Implemented as a replay of add-deltas through a transient
-        :class:`ViewMaintainer` bound to this explainer (so its ``EVerify``
-        and any subclass policy overrides carry through):
-        one ingest per graph, then one view assembly.
+        A replay of add-deltas through a transient :class:`ViewMaintainer`
+        bound to this explainer (so its ``EVerify`` and any subclass policy
+        overrides carry through): one ingest per graph.
         """
-        start = time.perf_counter()
-        view = self.maintain(graphs, label, record_history).view_for(label)
-        view.metadata["runtime_seconds"] = time.perf_counter() - start
-        return view
-
-    def maintain(
-        self, graphs: Sequence[Graph], label: int, record_history: bool = False
-    ) -> ViewMaintainer:
-        """The label group's rows: one streamed row per graph, in input order.
-
-        A shard worker answers a routed stream request with these rows
-        (:meth:`ViewMaintainer.row_payloads`); the router assembles them once
-        in request order.
-        """
-        maintainer = ViewMaintainer(
-            processor=self, labels=(label,), record_history=record_history
-        )
+        maintainer = ViewMaintainer(processor=self, labels=(label,))
         for graph, predicted in zip(graphs, self._predicted_labels(graphs)):
             maintainer.ingest(graph, predicted=predicted)
-        return maintainer
+        return maintainer.rows()
+
+    def assemble(self, rows: Iterable[ExplanationRow], label: int, start: float) -> ExplanationView:
+        """The stream assembly law over ``rows`` (:func:`assemble_stream_view`);
+        ``runtime_seconds`` counts from the ``perf_counter`` timestamp ``start``."""
+        return assemble_stream_view(rows, label, self.batch_size, time.perf_counter() - start)
+
+    def explain_label(self, graphs: Sequence[Graph], label: int) -> ExplanationView:
+        """Streamed explanation view for one label group."""
+        start = time.perf_counter()
+        return self.assemble(self.explain_rows(graphs, label), label, start)
 
     def explain(
         self,

@@ -15,7 +15,6 @@ graph database and answers those queries with the pattern-matching substrate.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from repro.core.explanation import ExplanationViewSet
 from repro.exceptions import ExplanationError
@@ -24,16 +23,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.pattern import GraphPattern
 from repro.matching.engine import has_matching
 
-__all__ = ["PatternOccurrence", "ViewQueryEngine"]
-
-
-@dataclass(frozen=True)
-class PatternOccurrence:
-    """One (pattern, label, graph) occurrence returned by queries."""
-
-    pattern_id: int
-    label: int
-    graph_id: int | None
+__all__ = ["ViewQueryEngine"]
 
 
 class ViewQueryEngine:
@@ -67,21 +57,6 @@ class ViewQueryEngine:
             if has_matching(pattern, graph):
                 result.append(graph)
         return result
-
-    def occurrences(self, pattern: GraphPattern) -> list[PatternOccurrence]:
-        """Every (label, graph) pair whose explanation subgraphs contain the pattern."""
-        hits = []
-        for view in self.views:
-            for subgraph in view.subgraphs:
-                if has_matching(pattern, subgraph.subgraph()):
-                    hits.append(
-                        PatternOccurrence(
-                            pattern_id=pattern.pattern_id if pattern.pattern_id is not None else -1,
-                            label=view.label,
-                            graph_id=subgraph.source_graph.graph_id,
-                        )
-                    )
-        return hits
 
     def labels_with_pattern(self, pattern: GraphPattern) -> list[int]:
         """Labels whose explanation subgraphs contain the pattern (e.g. 'which

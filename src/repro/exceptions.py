@@ -53,14 +53,6 @@ class ExplanationError(ReproError):
     """Raised when an explanation cannot be produced under the constraints."""
 
 
-class VerificationError(ReproError):
-    """Raised when view verification is asked to check an ill-formed structure."""
-
-
-class MatchingError(ReproError):
-    """Raised for invalid pattern matching requests."""
-
-
 class WALError(ReproError):
     """Raised when the write-ahead log is corrupt or used inconsistently."""
 

@@ -1,10 +1,7 @@
 """Unit tests for ApproxGVEX (Algorithm 1)."""
 
-import time
-
 import pytest
 
-from repro.api.replication import view_signature
 from repro.core import Configuration, verify_view
 from repro.core.approx import ApproxGVEX
 from repro.exceptions import ExplanationError
@@ -100,25 +97,6 @@ class TestExplainLabel:
         view = explainer.explain_label(mut_database.graphs, 0)
         for subgraph in view.subgraphs:
             assert trained_mut_model.predict(subgraph.source_graph) == 0
-
-
-    def test_rows_from_separate_explainers_assemble_to_explain_label(
-        self, explainer, mut_database, trained_mut_model
-    ):
-        """A row depends on its graph alone: fresh explainers over shuffled
-        chunks, rows put back in input order and assembled once, give the
-        single-pass view — the law a sharded fan-out relies on."""
-        graphs = mut_database.graphs[:12]
-        expected = explainer.explain_label(graphs, 1)
-        rows = []
-        for chunk in (graphs[8:], graphs[:3], graphs[3:8]):
-            rows += ApproxGVEX(trained_mut_model, explainer.config).explain_rows(chunk, 1)
-        position = {graph.graph_id: index for index, graph in enumerate(graphs)}
-        rows.sort(key=lambda row: position[row.source_graph.graph_id])
-        assembled = explainer.assemble(rows, 1, time.perf_counter())
-        assert assembled.patterns
-        assert view_signature(assembled) == view_signature(expected)
-        assert assembled.metadata["algorithm"] == "ApproxGVEX"
 
 
 class TestExplainAll:

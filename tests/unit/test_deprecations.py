@@ -13,6 +13,8 @@ silently.
 The process-pool runner ``parallel_explain`` and its per-shard view union
 ``merge_views`` are removed the same way: fanning explanations out is the
 shard router's job, and it assembles one view from per-graph rows.
+``PatternOccurrence`` went with ``ViewQueryEngine.occurrences``, the only
+query that returned it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ REMOVED_TOP_LEVEL = [
     "ViewQueryEngine",
     "parallel_explain",
     "merge_views",
+    "PatternOccurrence",
 ]
 REMOVED_BASELINES = [
     "BaseExplainer",

@@ -9,6 +9,7 @@ inherits the anytime quality bound with zero slack.
 
 import dataclasses
 import math
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ import repro.core.maintenance as maintenance
 from repro.api import ViewStore
 from repro.api.replication import view_signature as semantic_signature
 from repro.core import Configuration, ViewMaintainer
+from repro.core.explanation import assemble_view_from_rows
 from repro.core.maintenance import NodeStreamProcessor
 from repro.core.sampling import SampledGraphAnalysis, build_analysis
 from repro.core.streaming import StreamGVEX
@@ -286,21 +288,41 @@ class TestSnapshot:
         assert len(payload["rows"]) == maintainer.stats()["rows"]
 
 
-    def test_shard_row_payloads_assemble_to_view_for(
+    def test_snapshots_with_retired_history_fields_still_restore(
         self, maintainer, live_database, trained_mut_model, stream_config
     ):
-        """Rows of per-shard maintainers, put back in database order and
-        assembled once, reproduce the single maintainer's view."""
+        """Snapshots written before rows lost their ``history`` field (and the
+        maintainer its ``record_history`` option) restore unchanged."""
+        payload = maintainer.snapshot()
+        payload["record_history"] = False
+        for row in payload["rows"]:
+            row["history"] = [{"seen_fraction": 1.0, "selected_nodes": 1}]
+        restored = ViewMaintainer.from_snapshot(
+            payload, trained_mut_model, live_database, config=stream_config
+        )
+        assert restored.graphs_streamed == 0
+        for label in maintainer.maintained_labels():
+            assert view_signature(restored.view_for(label)) == view_signature(
+                maintainer.view_for(label)
+            )
+        assert "history" not in restored.snapshot()["rows"][0]
+
+    def test_shard_rows_assemble_to_view_for(
+        self, maintainer, live_database, trained_mut_model, stream_config
+    ):
+        """Rows of per-shard explainers, sent as payloads, put back in
+        database order and assembled once, reproduce the single maintainer's
+        view."""
         graphs = live_database.graphs
         graphs_by_id = {graph.graph_id: graph for graph in graphs}
         for label in maintainer.maintained_labels():
             rows = []
             for shard in (graphs[1::2], graphs[0::2]):
                 explainer = StreamGVEX(trained_mut_model, stream_config, batch_size=5)
-                rows += explainer.maintain(shard, label).row_payloads(label)
+                rows += [row.to_dict() for row in explainer.explain_rows(shard, label)]
             rows.sort(key=lambda row: live_database.index_of(row["graph_id"]))
-            assembled = maintenance.assemble_view_from_rows(
-                rows, label, graphs_by_id, batch_size=5
+            assembled = assemble_view_from_rows(
+                rows, label, graphs_by_id, explainer, time.perf_counter()
             )
             assert semantic_signature(assembled) == semantic_signature(
                 maintainer.view_for(label)

@@ -21,6 +21,7 @@ def full_report(**overrides):
         "incremental_speedup_min": 6.0,
         "wal_ingest_ratio_min": 1.0,
         "views_identical": True,
+        "vp_extend_identical": True,
         "lazy_eager_identical": True,
         "stream_identical": True,
         "matching_identical": True,
@@ -48,6 +49,10 @@ class TestCheck:
     def test_false_identity_flag_fails(self):
         failures = check(full_report(incremental_identical=False), BASELINE)
         assert any("recompute" in f for f in failures)
+
+    def test_broken_frontier_identity_fails(self):
+        failures = check(full_report(vp_extend_identical=False), BASELINE)
+        assert any("vp_extend" in f for f in failures)
 
     def test_broken_stream_identity_fails(self):
         failures = check(full_report(stream_identical=False), BASELINE)

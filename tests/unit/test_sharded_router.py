@@ -33,6 +33,14 @@ from repro.core import Configuration
 from repro.exceptions import ExplanationError
 from repro.graphs import Graph, GraphDatabase
 
+#: The row codec's fields.  Stream rows come from a maintainer and add its
+#: ``stored_label``; snapshots written by earlier releases use the same
+#: names (plus the retired ``history``).
+ROW_FIELDS = {
+    "graph_id", "label", "nodes", "explainability", "consistent",
+    "counterfactual", "patterns", "runtime_seconds",
+}
+
 
 @pytest.fixture(scope="module")
 def shard_config():
@@ -211,17 +219,23 @@ class TestShardHostRows:
         }
 
     def test_rows_come_back_in_request_order(self, host, shard_config):
+        """Every algorithm answers in one shape: ``{"rows": [...]}`` of the
+        one row codec, in request order."""
         order = [9, 5, 2, 7, 0]
-        approx = host.handle("explain_rows", self.rows_payload(shard_config, order))
-        assert approx["view"]["patterns"] == []
-        approx_ids = [row["source_graph_id"] for row in approx["view"]["subgraphs"]]
-        stream = host.handle(
-            "explain_rows", self.rows_payload(shard_config, order, "stream")
-        )
-        stream_ids = [row["graph_id"] for row in stream["rows"]]
-        for ids in (approx_ids, stream_ids):
-            assert ids
+        for algorithm in ("approx", "stream", "random"):
+            reply = host.handle(
+                "explain_rows", self.rows_payload(shard_config, order, algorithm)
+            )
+            assert list(reply) == ["rows"]
+            ids = [row["graph_id"] for row in reply["rows"]]
+            assert ids, algorithm
             assert ids == sorted(ids, key=order.index)
+            extra = {"stored_label"} if algorithm == "stream" else set()
+            for row in reply["rows"]:
+                assert set(row) == ROW_FIELDS | extra
+                assert row["label"] == 1
+                if algorithm != "stream":
+                    assert row["patterns"] == []
 
     def test_row_op_rejects_a_graph_the_shard_does_not_hold(self, host, shard_config):
         with pytest.raises(ExplanationError, match="disagree"):
