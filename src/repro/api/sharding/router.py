@@ -59,6 +59,7 @@ import threading
 import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -73,7 +74,7 @@ from repro.api.sharding.plan import ShardPlan
 from repro.api.sharding.shm import create_arena
 from repro.api.sharding.worker import ShardHost, shard_worker_main
 from repro.api.store import ViewStore
-from repro.api.types import ExplainRequest, ExplanationResult
+from repro.api.types import ExplainRequest, Explainer, ExplanationResult
 from repro.core.config import Configuration
 from repro.core.explanation import ExplanationViewSet, assemble_view_from_rows
 from repro.core.faults import activate_from_config, fault_point
@@ -701,14 +702,18 @@ class ShardRouter:
             return cached
 
         start = time.perf_counter()
-        # Whole-database stream requests under the workers' maintained
-        # configuration assemble the shards' maintained rows; anything else
-        # has the shards compute rows for the selected graphs.
+        # The request's explainer only assembles here; the rows come from
+        # the shards.  Whole-database stream requests under the workers'
+        # maintained configuration assemble the shards' maintained rows;
+        # anything else has the shards compute rows for the selected graphs.
+        explainer = create_explainer(
+            request.algorithm, self.model, config=request.effective_config()
+        )
         if self.planner.is_whole_stream(request, self.config):
-            view, missing_shards = self._stream_view(request)
+            view, missing_shards = self._stream_view(request, explainer)
             graphs = self.database.graphs
         else:
-            view, graphs, missing_shards = self._rows_view(request)
+            view, graphs, missing_shards = self._rows_view(request, explainer)
         result = self.planner.build_result(
             request, view, graphs, time.perf_counter() - start, missing_shards
         )
@@ -735,21 +740,15 @@ class ShardRouter:
             )
         return rows, missing_shards
 
-    def _stream_view(self, request: ExplainRequest):
+    def _stream_view(self, request: ExplainRequest, explainer: Explainer):
         start = time.perf_counter()
         rows, missing_shards = self._shard_rows(request.label)
-        return self._assemble(request, rows, start), missing_shards
-
-    def _assemble(self, request: ExplainRequest, rows: list[dict[str, Any]], start: float):
-        """Decode shard rows and build one view with the request explainer's law."""
-        explainer = create_explainer(
-            request.algorithm, self.model, config=request.effective_config()
-        )
-        return assemble_view_from_rows(
+        view = assemble_view_from_rows(
             rows, request.label, self.planner.graphs_by_id, explainer, start
         )
+        return view, missing_shards
 
-    def _rows_view(self, request: ExplainRequest):
+    def _rows_view(self, request: ExplainRequest, explainer: Explainer):
         """Fan the selected graphs out as rows, then assemble once.
 
         The selection (id filter, test-split ranking, limit) is a *global*
@@ -778,7 +777,10 @@ class ShardRouter:
         position = {graph.graph_id: index for index, graph in enumerate(graphs)}
         rows = [row for response in responses for row in response["rows"]]
         rows.sort(key=lambda row: position[row["graph_id"]])
-        return self._assemble(request, rows, start), graphs, missing_shards
+        view = assemble_view_from_rows(
+            rows, request.label, self.planner.graphs_by_id, explainer, start
+        )
+        return view, graphs, missing_shards
 
     # ------------------------------------------------------------------
     # mutations (routed to the owning shard, then mirrored globally)
@@ -888,17 +890,23 @@ class ShardRouter:
         start = time.perf_counter()
         rows, missing_shards = self._shard_rows(None)
         labels = sorted({row["label"] for row in rows if row["label"] is not None})
-        explainer = create_explainer("stream", self.model, config=self.config)
         views = ExplanationViewSet()
         for label in labels:
             views.add(
-                assemble_view_from_rows(rows, label, self.planner.graphs_by_id, explainer, start)
+                assemble_view_from_rows(
+                    rows, label, self.planner.graphs_by_id, self._live_assembler, start
+                )
             )
         if missing_shards:
             return views  # partial: never cached, heals on the next call
         with self._lock:
             self._live_cache = (version, views)
         return views
+
+    @cached_property
+    def _live_assembler(self) -> Explainer:
+        """The stream explainer whose ``assemble`` builds :meth:`live_views`."""
+        return create_explainer("stream", self.model, config=self.config)
 
     def view_set(self) -> ExplanationViewSet:
         """The latest stored view per label, as one queryable set."""

@@ -181,7 +181,7 @@ class ShardHost:
         bit-identical to a single-process StreamGVEX run at any shard count.
         """
         maintainer = self.service.enable_live_views()
-        rows = [row.to_dict() for row in maintainer.rows(payload.get("label"))]
+        rows = [row.snapshot_dict() for row in maintainer.rows(payload.get("label"))]
         return {"rows": rows, "version": self.service.database.version}
 
     def _op_mutate(self, payload: dict[str, Any]) -> dict[str, Any]:

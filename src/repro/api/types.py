@@ -76,8 +76,9 @@ class Explainer(Protocol):
     implementation: ``explain_rows`` computes one
     :class:`~repro.core.explanation.ExplanationRow` per graph (on the shards,
     in the sharded tier) and ``assemble`` builds the view from every row once
-    (on the router).  ``explain_instance`` is the single-graph convenience
-    used by the comparison experiments.
+    (on the router, which builds one explainer per request for it, so
+    construction must stay cheap).  ``explain_instance`` is the single-graph
+    convenience used by the comparison experiments.
     """
 
     model: Any
@@ -87,7 +88,9 @@ class Explainer(Protocol):
         ...
 
     def assemble(self, rows: Iterable[ExplanationRow], label: int, start: float) -> ExplanationView:
-        """The view over ``rows``; ``runtime_seconds`` counts from ``start``."""
+        """The view over ``rows``; ``runtime_seconds`` counts from the
+        ``perf_counter`` time ``start``, except that a stream view sums its
+        rows' streaming cost."""
         ...
 
     def explain_label(self, graphs: Sequence[Graph], label: int) -> ExplanationView:

@@ -120,7 +120,8 @@ class ExplanationRow:
     runtime_seconds: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        """The row's JSON-safe form: the wire format and the snapshot row."""
+        """The row's JSON-safe form: the wire format, and the snapshot row
+        less its ``stored_label``."""
         subgraph = self.subgraph
         return {
             "graph_id": self.graph_id,

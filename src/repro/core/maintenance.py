@@ -432,9 +432,10 @@ class MaintainedExplanation(ExplanationRow):
     # which embed object identity, actually hit).
     _materialized: Graph | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """The row codec's form plus ``stored_label`` (snapshot and live wire row)."""
-        return super().to_dict() | {"stored_label": self.stored_label}
+    def snapshot_dict(self) -> dict[str, Any]:
+        """The row codec's form plus ``stored_label`` (the snapshot row and
+        the shard's maintained-row reply, whose readers restore or check it)."""
+        return self.to_dict() | {"stored_label": self.stored_label}
 
     def pattern_keys(self) -> set[tuple]:
         return {pattern.canonical_key() for pattern in self.patterns}
@@ -766,13 +767,7 @@ class ViewMaintainer:
         return rows
 
     def _build_view(self, label: int) -> ExplanationView:
-        rows = self.rows(label)
-        return assemble_stream_view(
-            rows,
-            label,
-            self.processor.batch_size,
-            float(sum(row.runtime_seconds for row in rows)),
-        )
+        return assemble_stream_view(self.rows(label), label, self.processor.batch_size)
 
     def verify_label(self, label: int) -> dict[str, Any]:
         """Re-verify the maintained invariants of one label's view.
@@ -827,7 +822,7 @@ class ViewMaintainer:
             "label_source": self.label_source,
             "labels": sorted(self.labels) if self.labels is not None else None,
             "database_version": self.database.version if self.database is not None else None,
-            "rows": [row.to_dict() for row in self._rows.values()],
+            "rows": [row.snapshot_dict() for row in self._rows.values()],
         }
 
     @classmethod
@@ -947,19 +942,21 @@ def assemble_stream_view(
     rows: Iterable[ExplanationRow],
     label: int,
     batch_size: int,
-    runtime_seconds: float,
 ) -> ExplanationView:
     """The stream assembly law, over one label's rows in database order.
 
     Subgraphs in row order, patterns deduplicated by canonical key in
-    first-seen order with reassigned ids, explainability summed in row
-    order.  :meth:`ViewMaintainer.view_for` and
+    first-seen order with reassigned ids, explainability and the rows'
+    streaming cost (``runtime_seconds``) summed in row order.
+    :meth:`ViewMaintainer.view_for` and
     :meth:`~repro.core.streaming.StreamGVEX.assemble` both build their
     views here.
     """
     subgraphs: list[ExplanationSubgraph] = []
     patterns: dict[tuple, GraphPattern] = {}
+    runtime = 0.0
     for row in rows:
+        runtime += row.runtime_seconds
         if row.subgraph is not None:
             subgraphs.append(row.subgraph)
         for pattern in row.patterns:
@@ -975,6 +972,6 @@ def assemble_stream_view(
         metadata={
             "algorithm": "StreamGVEX",
             "batch_size": batch_size,
-            "runtime_seconds": runtime_seconds,
+            "runtime_seconds": runtime,
         },
     )

@@ -33,7 +33,7 @@ from repro.core import Configuration
 from repro.exceptions import ExplanationError
 from repro.graphs import Graph, GraphDatabase
 
-#: The row codec's fields.  Stream rows come from a maintainer and add its
+#: The row codec's fields.  A shard's maintained rows and snapshots add
 #: ``stored_label``; snapshots written by earlier releases use the same
 #: names (plus the retired ``history``).
 ROW_FIELDS = {
@@ -230,9 +230,8 @@ class TestShardHostRows:
             ids = [row["graph_id"] for row in reply["rows"]]
             assert ids, algorithm
             assert ids == sorted(ids, key=order.index)
-            extra = {"stored_label"} if algorithm == "stream" else set()
             for row in reply["rows"]:
-                assert set(row) == ROW_FIELDS | extra
+                assert set(row) == ROW_FIELDS
                 assert row["label"] == 1
                 if algorithm != "stream":
                     assert row["patterns"] == []
