@@ -435,16 +435,27 @@ def bench_service(context: BenchContext, config, num_graphs: int) -> dict:
 
     The guard watches ``direct/cold`` (the service layer must stay a thin
     wrapper) and ``cold/warm`` (cache hits must stay near-free), plus
-    node-set identity between the direct and service views.
+    node-set identity between the direct and service views.  Each arm runs
+    on its own graph copies: on shared graph objects the cold arm would
+    reuse the analysis cores an earlier explain cached on their views.
     """
-    subset = context.database.subset(list(range(min(num_graphs, len(context.database)))))
-    subset.warm_sparse_cache()
+    count = min(num_graphs, len(context.database))
+
+    def fresh_subset() -> GraphDatabase:
+        subset = GraphDatabase(f"{context.database.name}-subset")
+        for index in range(count):
+            subset.add_graph(context.database[index].copy(), context.database.label_of(index))
+        subset.warm_sparse_cache()
+        return subset
+
+    direct_graphs = fresh_subset().graphs
+    subset = fresh_subset()
     labels = sorted({context.model.predict(graph) for graph in subset.graphs})
 
     start = time.perf_counter()
     direct_views = {
         label: create_explainer("approx", context.model, config=config).explain_label(
-            subset.graphs, label
+            direct_graphs, label
         )
         for label in labels
     }

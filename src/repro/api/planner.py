@@ -28,8 +28,6 @@ import threading
 from collections.abc import Sequence
 from typing import Any
 
-import numpy as np
-
 from repro.api.registry import DEFAULT_REGISTRY
 from repro.api.store import ViewStore
 from repro.api.types import ExplainRequest, ExplanationResult, Provenance
@@ -85,7 +83,7 @@ class RequestPlanner:
         # dataset — or by the same model over different database contents.
         # The weight digest is hashed once; mutations only re-fold the
         # cheap database identity.
-        self.weights_digest = _weights_digest(model)
+        self.weights_digest = model.weights_digest()
         self.context_fingerprint = self._fingerprint_context()
 
     # ------------------------------------------------------------------
@@ -322,14 +320,3 @@ class RequestPlanner:
                 if self._predicted is not None:
                     self._predicted.pop(graph_id, None)
 
-
-def _weights_digest(model: Any) -> str:
-    """Stable hash of a model's weights."""
-    digest = hashlib.sha256()
-    for layer in model.get_weights():
-        for name in sorted(layer):
-            array = np.ascontiguousarray(layer[name])
-            digest.update(name.encode("utf-8"))
-            digest.update(str(array.shape).encode("utf-8"))
-            digest.update(array.tobytes())
-    return digest.hexdigest()

@@ -5,7 +5,9 @@ computed through a :class:`GraphAnalysis` object that performs the expensive
 model work once (influence matrix ``I2`` and last-layer embeddings) and then
 answers set-function queries ``I(Vs)``, ``D(Vs)`` and marginal gains in time
 linear in the graph size — this is the "once-for-all inference" of
-ApproxGVEX line 2.
+ApproxGVEX line 2.  The model work lands in an immutable
+:class:`AnalysisCore`, which :func:`repro.core.sampling.build_analysis`
+shares between the analyses of an unchanged graph.
 """
 
 from __future__ import annotations
@@ -19,7 +21,15 @@ from repro.gnn.influence import normalized_influence_matrix
 from repro.gnn.models import GNNClassifier
 from repro.graphs.graph import Graph
 
-__all__ = ["CoverageState", "GraphAnalysis", "pack_rows", "unpack_bits", "word_popcounts", "view_explainability"]
+__all__ = [
+    "AnalysisCore",
+    "CoverageState",
+    "GraphAnalysis",
+    "pack_rows",
+    "unpack_bits",
+    "word_popcounts",
+    "view_explainability",
+]
 
 # ----------------------------------------------------------------------
 # bit-packed mask kernels
@@ -236,63 +246,145 @@ class CoverageState:
         return self.explainability() - before
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class AnalysisCore:
+    """The label-independent structures of one exact analysis.
+
+    The influenced-by mask (Eq. 5, ``I2 >= theta``), the total influence
+    each node exerts and the embedding-neighbourhood mask (Eq. 6,
+    normalised distance ``<= r``) depend only on the graph, the fixed GNN
+    and ``theta`` / ``r`` — not on the label or its bound — so one core
+    serves every analysis of an unchanged graph.  Every array is
+    read-only; the uint64 word-packed copies of the two masks are built
+    on first use and kept.
+    """
+
+    __slots__ = (
+        "influence_mask",
+        "neighbourhood_mask",
+        "exerted_influence",
+        "_packed_influence",
+        "_packed_neighbourhood",
+    )
+
+    def __init__(
+        self,
+        influence_mask: np.ndarray,
+        neighbourhood_mask: np.ndarray,
+        exerted_influence: np.ndarray,
+    ) -> None:
+        self.influence_mask = _read_only(influence_mask)
+        self.neighbourhood_mask = _read_only(neighbourhood_mask)
+        self.exerted_influence = _read_only(exerted_influence)
+        self._packed_influence: np.ndarray | None = None
+        self._packed_neighbourhood: np.ndarray | None = None
+
+    @classmethod
+    def compute(cls, influence: np.ndarray, embeddings: np.ndarray, config: Configuration) -> "AnalysisCore":
+        """Threshold ``I2`` and the embedding distances of a non-empty graph.
+
+        ``influence[u, v]`` is the share of node v's sensitivity
+        attributable to node u (Eq. 4); ``embeddings`` are the last-layer
+        node representations, row-aligned with it.
+        """
+        # Embedding distances for the diversity term (Eq. 6), normalised to
+        # [0, 1] so the radius threshold is scale-free.
+        differences = embeddings[:, None, :] - embeddings[None, :, :]
+        distances = np.linalg.norm(differences, axis=2)
+        max_distance = distances.max()
+        if max_distance > 0:
+            distances = distances / max_distance
+        return cls(
+            # influenced-by mask (Eq. 5): entry [u, v] true when u influences v.
+            influence >= config.theta,
+            distances <= config.radius,
+            # Total influence each node exerts over the graph; the algorithms
+            # use it to break ties between candidates with identical gain.
+            influence.sum(axis=1),
+        )
+
+    @classmethod
+    def empty(cls) -> "AnalysisCore":
+        """The core of a graph without nodes."""
+        return cls(np.zeros((0, 0), dtype=bool), np.zeros((0, 0), dtype=bool), np.zeros(0))
+
+    def packed_influence(self) -> np.ndarray:
+        """uint64 word-packed copy of the influenced-by mask."""
+        if self._packed_influence is None:
+            self._packed_influence = _read_only(pack_rows(self.influence_mask))
+        return self._packed_influence
+
+    def packed_neighbourhood(self) -> np.ndarray:
+        """uint64 word-packed copy of the embedding-neighbourhood mask."""
+        if self._packed_neighbourhood is None:
+            self._packed_neighbourhood = _read_only(pack_rows(self.neighbourhood_mask))
+        return self._packed_neighbourhood
+
+
 class GraphAnalysis:
-    """Precomputed influence/diversity structures for one graph.
+    """Influence/diversity structures for one graph, plus per-request state.
+
+    The model work (``I2``, the embeddings and the masks thresholded from
+    them) is an immutable :class:`AnalysisCore`; the coverage state of a
+    greedy run and the memo of scored subsets belong to this instance.
+    Constructing the class directly always computes a fresh core.
+    :func:`repro.core.sampling.build_analysis`, the factory every
+    production explainer calls, instead passes the core cached on the
+    graph's :class:`~repro.graphs.sparse.SparseGraphView` under the key
+    (model architecture and weights digest, ``theta``, ``radius``,
+    ``influence_method``).  Any graph mutation moves ``Graph.version`` and
+    so retires the view together with its cores.  A core holds about
+    ``2 * n**2`` bytes of boolean masks (about 23 KB at ``n = 106``), below
+    the ``n**2`` float64 operator the view already keeps for probes.
 
     Parameters
     ----------
     model, graph, config:
         The fixed GNN, the source graph, and the GVEX configuration whose
         ``theta`` / ``radius`` / ``gamma`` thresholds the scores use.
+    core:
+        A core previously computed for this graph, model, ``theta``,
+        ``radius`` and ``influence_method``; computed here when ``None``.
     """
 
     #: The incremental coverage state :meth:`reset_coverage` builds.
     coverage_state: type = CoverageState
 
-    def __init__(self, model: GNNClassifier, graph: Graph, config: Configuration) -> None:
+    def __init__(
+        self,
+        model: GNNClassifier,
+        graph: Graph,
+        config: Configuration,
+        core: AnalysisCore | None = None,
+    ) -> None:
         self.graph = graph
         self.config = config
         self.node_list = graph.nodes
         self._index = {node: position for position, node in enumerate(self.node_list)}
-        num_nodes = len(self.node_list)
+        if core is None:
+            if self.node_list:
+                core = AnalysisCore.compute(
+                    self._normalized_influence(model, graph), model.node_embeddings(graph), config
+                )
+            else:
+                core = AnalysisCore.empty()
+        self.core = core
+        self._influence_mask = core.influence_mask
+        self._neighbourhood_mask = core.neighbourhood_mask
+        self._exerted_influence = core.exerted_influence
 
-        # Lazily built views of the boolean masks: a float copy (batched
-        # diversity via one matrix product) and uint64 word-packed copies
-        # (popcount kernels).  None until first use — most analyses in the
-        # streaming path only ever exercise one of the two.
+        # Lazily built float copy of the neighbourhood mask (batched
+        # diversity via one matrix product); only the batched marginal
+        # gains read it, so it stays per instance.
         self._neighbourhood_float_cache: np.ndarray | None = None
-        self._packed_influence_cache: np.ndarray | None = None
-        self._packed_neighbourhood_cache: np.ndarray | None = None
         # Memo of Eq.-2 scores per queried seed set: the streaming swap loop re-evaluates the same selected/reduced subsets
         # for every arriving node, so this turns most of IncUpdateVS's
         # objective calls into dict hits.
         self._subset_scores: dict[frozenset[int], float] = {}
-
-        if num_nodes == 0:
-            self._influence_mask = np.zeros((0, 0), dtype=bool)
-            self._neighbourhood_mask = np.zeros((0, 0), dtype=bool)
-            self._neighbourhood_float_cache = np.zeros((0, 0))
-            self._exerted_influence = np.zeros(0)
-            self._coverage = None
-            return
-
-        # I2[u, v]: share of node v's sensitivity attributable to node u (Eq. 4).
-        influence = self._normalized_influence(model, graph)
-        # influenced-by mask (Eq. 5): entry [u, v] true when u influences v.
-        self._influence_mask = influence >= config.theta
-        # Total influence each node exerts over the graph; the algorithms use
-        # it to break ties between candidates with identical coverage gain.
-        self._exerted_influence = influence.sum(axis=1)
-
-        # Embedding distances for the diversity term (Eq. 6), normalised to
-        # [0, 1] so the radius threshold is scale-free.
-        embeddings = model.node_embeddings(graph)
-        differences = embeddings[:, None, :] - embeddings[None, :, :]
-        distances = np.linalg.norm(differences, axis=2)
-        max_distance = distances.max()
-        if max_distance > 0:
-            distances = distances / max_distance
-        self._neighbourhood_mask = distances <= config.radius
         self._coverage: CoverageState | None = None
 
     def _normalized_influence(self, model: GNNClassifier, graph: Graph) -> np.ndarray:
@@ -311,15 +403,11 @@ class GraphAnalysis:
 
     def _packed_influence(self) -> np.ndarray:
         """uint64 word-packed copy of the influenced-by mask."""
-        if self._packed_influence_cache is None:
-            self._packed_influence_cache = pack_rows(self._influence_mask)
-        return self._packed_influence_cache
+        return self.core.packed_influence()
 
     def _packed_neighbourhood(self) -> np.ndarray:
         """uint64 word-packed copy of the embedding-neighbourhood mask."""
-        if self._packed_neighbourhood_cache is None:
-            self._packed_neighbourhood_cache = pack_rows(self._neighbourhood_mask)
-        return self._packed_neighbourhood_cache
+        return self.core.packed_neighbourhood()
 
     def _packed_counts(self, positions: Sequence[int]) -> tuple[int, int]:
         """``(I, D)`` integer counts of a non-empty seed position set."""

@@ -47,7 +47,8 @@ subset query of a greedy run within the bound, not just a single query.
 Scope rules (enforced by :func:`build_analysis`, the factory every
 explainer constructs analyses through):
 
-* ``objective="exact"`` (default) — plain :class:`GraphAnalysis`, always.
+* ``objective="exact"`` (default) — plain :class:`GraphAnalysis`, always,
+  over the analysis core cached on the graph's sparse view.
 * ``objective="sampled"`` but the graph has ``<= sample_threshold`` nodes,
   or the auto-chosen sample is not actually smaller than the population —
   plain :class:`GraphAnalysis` too: small inputs stay **bit-identical** to
@@ -176,17 +177,28 @@ def _record_exact_fallback() -> None:
 # the analysis factory — the one constructor the explainers call
 # ----------------------------------------------------------------------
 def build_analysis(model: GNNClassifier, graph: Graph, config: Configuration) -> GraphAnalysis:
-    """Exact or sampled :class:`GraphAnalysis`, per the configuration's scope rules."""
-    if config.objective != "sampled":
-        return GraphAnalysis(model, graph, config)
-    population = graph.num_nodes()
-    sample_size = auto_sample_size(
-        population, config.epsilon, config.delta, config.sample_budget
-    )
-    if population <= config.sample_threshold or sample_size >= population:
+    """Exact or sampled :class:`GraphAnalysis`, per the configuration's scope rules.
+
+    An exact analysis reuses the :class:`~repro.core.quality.AnalysisCore`
+    cached on the graph's sparse view under (model architecture and weights
+    digest, ``theta``, ``radius``, ``influence_method``) and computes it
+    only on a miss; the label, its bound and ``gamma`` play no part in the
+    core, so every request on an unchanged graph shares it.  The digest is
+    rehashed on every call, so in-place training steps miss too, and a
+    graph mutation rebuilds the view and drops its cores.  Sampled
+    analyses are never cached.
+    """
+    if config.objective == "sampled":
+        population = graph.num_nodes()
+        sample_size = auto_sample_size(
+            population, config.epsilon, config.delta, config.sample_budget
+        )
+        if population > config.sample_threshold and sample_size < population:
+            return SampledGraphAnalysis(model, graph, config, sample_size)
         _record_exact_fallback()
-        return GraphAnalysis(model, graph, config)
-    return SampledGraphAnalysis(model, graph, config, sample_size)
+    key = (model.conv, model.weights_digest(), config.theta, config.radius, config.influence_method)
+    core = graph.sparse_view().analysis_core(key, lambda: GraphAnalysis(model, graph, config).core)
+    return GraphAnalysis(model, graph, config, core)
 
 
 def estimator_summary(config: Configuration, graphs: Sequence[Graph]) -> dict | None:
@@ -539,8 +551,6 @@ class SampledGraphAnalysis(GraphAnalysis):
         self._subset_scores = {}
         self._coverage = None
         self._neighbourhood_float_cache = None
-        self._packed_influence_cache = None
-        self._packed_neighbourhood_cache = None
 
         population = len(self.node_list)
         self.population = population

@@ -10,6 +10,7 @@ model-agnostic exactly as the paper requires.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Sequence
 from itertools import chain
 from typing import Any
@@ -450,6 +451,21 @@ class GNNClassifier:
     def get_weights(self) -> list[dict[str, np.ndarray]]:
         """Copy of all parameters, layer by layer."""
         return [{name: value.copy() for name, value in layer.params.items()} for layer in self.all_layers()]
+
+    def weights_digest(self) -> str:
+        """sha256 over every parameter's name, shape and bytes, layer by layer.
+
+        Hashed fresh on each call, so in-place updates (the optimisers do
+        ``param -= step``) move it; it costs microseconds at small widths.
+        """
+        digest = hashlib.sha256()
+        for layer in self.all_layers():
+            for name in sorted(layer.params):
+                array = np.ascontiguousarray(layer.params[name])
+                digest.update(name.encode("utf-8"))
+                digest.update(str(array.shape).encode("utf-8"))
+                digest.update(array.tobytes())
+        return digest.hexdigest()
 
     def set_weights(self, weights: list[dict[str, np.ndarray]]) -> None:
         """Restore parameters previously captured by :meth:`get_weights`."""

@@ -12,7 +12,9 @@ dictionary lookup instead of a Python loop over nodes and edges.
 Views are immutable snapshots: :meth:`Graph.sparse_view` compares the view's
 ``version`` against the graph's mutation counter and rebuilds lazily after any
 ``add_node`` / ``add_edge`` / ``remove_*`` call, so incremental algorithms keep
-working unchanged.
+working unchanged.  The same rebuild retires the influence-analysis cores a
+view holds (:meth:`SparseGraphView.analysis_core`), so a cached analysis can
+never outlive the graph contents it was computed from.
 
 The per-node references for these kernels are in :mod:`repro.core.oracles`;
 the identity tests and the efficiency benchmarks compare the two on
@@ -22,8 +24,8 @@ identical inputs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -38,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graphs.graph import Graph
 
 __all__ = ["BatchedGraphView", "SparseGraphView", "SubsetFamily"]
+
+# Analysis cores one view keeps (distinct models/thresholds seen on one
+# graph version); a parameter sweep past it starts the dict over.
+_MAX_ANALYSIS_CORES = 4
 
 
 class SparseGraphView:
@@ -89,6 +95,7 @@ class SparseGraphView:
         "_neighbour_type_counts",
         "_row_neighbour_sets",
         "_edge_code_map",
+        "_analysis_cores",
     )
 
     def __init__(self, graph: "Graph") -> None:
@@ -156,6 +163,7 @@ class SparseGraphView:
         self._neighbour_type_counts: np.ndarray | None = None
         self._row_neighbour_sets: list[set[int]] | None = None
         self._edge_code_map: dict[int, int] | None = None
+        self._analysis_cores: dict[tuple, Any] = {}
 
     @classmethod
     def from_parts(
@@ -183,7 +191,8 @@ class SparseGraphView:
         serve the same read-mostly CSR snapshot without paying N× memory.
         The caller owns keeping the backing buffer alive for the view's
         lifetime; the per-view lazy caches (dense adjacency, propagation
-        operator, …) stay process-local, exactly as after ``__init__``.
+        operator, analysis cores, …) start empty and stay process-local,
+        exactly as after ``__init__``.
         """
         view = object.__new__(cls)
         view.version = int(version)
@@ -213,7 +222,27 @@ class SparseGraphView:
         view._neighbour_type_counts = None
         view._row_neighbour_sets = None
         view._edge_code_map = None
+        view._analysis_cores = {}
         return view
+
+    def analysis_core(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """The influence-analysis core stored under ``key``, built on a miss.
+
+        :func:`repro.core.sampling.build_analysis` keys it by everything the
+        core depends on besides the graph (model architecture and weights
+        digest, ``theta``, ``radius``, ``influence_method``).  The graph
+        itself needs no key: a mutation moves ``Graph.version``, which
+        retires this whole view and its cores with it.  At most
+        ``_MAX_ANALYSIS_CORES`` keys are kept; a further one starts over.
+        """
+        cores = self._analysis_cores
+        core = cores.get(key)
+        if core is None:
+            core = build()
+            if len(cores) >= _MAX_ANALYSIS_CORES:
+                cores.clear()
+            cores[key] = core
+        return core
 
     # ------------------------------------------------------------------
     # row lookups

@@ -10,8 +10,11 @@ import pytest
 import repro
 from repro.core.approx import ApproxGVEX
 from repro.core.config import Configuration
-from repro.core.oracles import ReferenceApproxGVEX, ReferenceStreamGVEX
+from repro.core.oracles import ReferenceApproxGVEX, ReferenceGraphAnalysis, ReferenceStreamGVEX
+from repro.core.quality import GraphAnalysis
+from repro.core.sampling import SampledGraphAnalysis, build_analysis
 from repro.gnn.models import GNNClassifier
+from repro.graphs.sparse import SparseGraphView
 
 ORACLES = "repro.core.oracles"
 PACKAGE_ROOT = Path(repro.__file__).resolve().parent
@@ -108,3 +111,32 @@ def test_oracle_explainers_never_reach_the_batch_probe(trained_mut_model, mut_da
         assert view.subgraphs
     with pytest.raises(AssertionError, match="batch probe reached"):
         ApproxGVEX(trained_mut_model, config).explain_label(graphs, label)
+
+
+def test_oracles_and_direct_analyses_never_read_the_analysis_cache(
+    trained_mut_model, mut_database, monkeypatch
+):
+    """The oracles and the ratio benchmarks time computation: a direct
+    ``GraphAnalysis(...)``, ``ReferenceGraphAnalysis``,
+    ``SampledGraphAnalysis`` and the oracle explainers compute every core
+    even on a graph whose view holds one.  ``build_analysis`` does read it."""
+    config = Configuration(theta=0.08).with_default_bound(0, 8)
+    graphs = [graph.copy() for graph in mut_database.graphs[:6]]
+    for graph in graphs:
+        build_analysis(trained_mut_model, graph, config)  # a cached core each
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analysis cache read")
+
+    monkeypatch.setattr(SparseGraphView, "analysis_core", refuse)
+    graph = graphs[0]
+    for analysis_class in (GraphAnalysis, ReferenceGraphAnalysis):
+        analysis = analysis_class(trained_mut_model, graph, config)
+        cached = graph.sparse_view()._analysis_cores
+        assert all(analysis.core is not core for core in cached.values())
+    sampled = SampledGraphAnalysis(trained_mut_model, graph, config, sample_size=4)
+    assert sampled.explainability(graph.nodes[:2]) >= 0.0
+    for oracle in (ReferenceApproxGVEX, ReferenceStreamGVEX):
+        assert oracle(trained_mut_model, config).explain_label(graphs, 1).subgraphs
+    with pytest.raises(AssertionError, match="analysis cache read"):
+        build_analysis(trained_mut_model, graph, config)

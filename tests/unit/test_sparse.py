@@ -19,7 +19,7 @@ from repro.core.oracles import (
 from repro.core.quality import GraphAnalysis
 from repro.core.verification import EVerify
 from repro.graphs import Graph, GraphPattern, induced_subgraph, khop_subgraph
-from repro.graphs.sparse import BatchedGraphView
+from repro.graphs.sparse import BatchedGraphView, SparseGraphView
 from repro.matching.coverage import covered_edges, covered_nodes
 
 
@@ -110,6 +110,31 @@ class TestSparseGraphView:
         view = graph.sparse_view()
         rows = view.khop_rows(view.index[4], 1)
         assert {view.node_ids[row] for row in rows} == {4, 1, 6}
+
+    def test_from_parts_sets_every_slot_init_sets(self):
+        """A view assembled from shared-memory parts carries every slot a
+        built view does, so a slot added to ``__init__`` alone fails here
+        instead of in a shard worker."""
+        built = build_test_graph().sparse_view()
+        attached = SparseGraphView.from_parts(
+            version=built.version,
+            node_ids=built.node_ids,
+            num_edges=built.num_edges,
+            indptr=built.indptr,
+            indices=built.indices,
+            edge_u=built.edge_u,
+            edge_v=built.edge_v,
+            node_type_codes=built.node_type_codes,
+            node_type_vocab=built.node_type_vocab,
+            edge_type_codes=built.edge_type_codes,
+            edge_type_vocab=built.edge_type_vocab,
+            feature_rows=built._feature_rows,
+            feature_dims=built._feature_dims,
+            feature_block=built._feature_block,
+        )
+        for view in (built, attached):
+            missing = [name for name in SparseGraphView.__slots__ if not hasattr(view, name)]
+            assert missing == []
 
 
 class TestExtractionEquivalence:
